@@ -12,19 +12,19 @@
 //! and report how many lookups the previous runs already paid for. The
 //! file is salted with the database fingerprint, so a cache built against
 //! a different `--max-vertices` (or database build) is rejected, not
-//! silently reused. `--cache-format binary|json|sharded` picks the
-//! persistence layout (default: inferred from the path — `.json` keeps
+//! silently reused. The path picks the persistence layout: `.json` keeps
 //! the legacy v2 JSON document, a `.d` suffix or existing directory means
 //! a sharded `shard-NN.bin` directory, anything else is the v4 binary
-//! format). `--cache-migrate OLD.json NEW` converts a legacy v2 JSON
+//! format. `--cache-migrate OLD.json NEW` converts a legacy v2 JSON
 //! cache to v4 (single file, or sharded when NEW ends in `.d`) and exits.
 //!
 //! Scenarios with auto-ranged normalizations (`"norm": "auto"` in a file,
 //! `norm=acc:auto` in the compact grammar) are resolved from a
-//! deterministic enumeration probe sample before the sweep starts. With
-//! `--calibrate`, a short probe sweep runs first, its measured per-shard
-//! wall times become the campaign's `CostModel`, and the full sweep is
-//! re-dispatched with measured scheduling weights automatically.
+//! deterministic 256-sample enumeration probe before the sweep starts.
+//! With `--calibrate`, a short probe sweep (`max(steps / 10, 20)` steps,
+//! first seed only) runs first, its measured per-shard wall times become
+//! the campaign's `CostModel`, and the full sweep is re-dispatched with
+//! measured scheduling weights automatically.
 //!
 //! `--reward-shaping hv:W` turns on hypervolume-gradient reward shaping
 //! for the RL controllers: each step's scalar reward gains `W × ΔHV`, the
@@ -52,6 +52,17 @@
 //! (overriding `--steps`); every nsga shard exports its per-generation
 //! front hypervolume in the JSONL.
 //!
+//! # One job description
+//!
+//! The job flags — scenarios, strategies, seeds, budget, `--population`,
+//! `--generations`, `--reward-shaping` and `--surrogate` — are turned into
+//! a `codesign_server::JobSpec` job object and validated by
+//! `JobSpec::from_json`, the same validator `serve` applies to submit
+//! frames. `JobSpec::to_campaign` then builds the campaign, auto norms
+//! included. A one-shot run, a `submit`, and a raw submit frame carrying
+//! the same job therefore run the same campaign and produce the same shard
+//! records. Invalid input of any kind prints a message and exits 2.
+//!
 //! Run: `cargo run --release -p codesign-bench --bin campaign`
 //! Args: `[--steps N] [--repeats R] [--max-vertices V] [--workers W]`
 //!       `[--scenario PRESET-INDEX|PRESET-NAME|COMPACT-SPEC]`
@@ -61,9 +72,8 @@
 //!       `[--population P] [--generations G] [--reward-shaping hv:W]`
 //!       `[--surrogate k:R]`
 //!       `[--seed-base S] [--no-cache] [--backend atomic|work-stealing]`
-//!       `[--cache-path FILE|DIR.d] [--cache-format binary|json|sharded]`
-//!       `[--cache-capacity N] [--cache-mmap] [--cache-migrate OLD.json NEW]`
-//!       `[--calibrate] [--probe-steps N] [--probe-samples N]`
+//!       `[--cache-path FILE|DIR.d|FILE.json] [--cache-capacity N]`
+//!       `[--cache-mmap] [--cache-migrate OLD.json NEW] [--calibrate]`
 //!       `[--trace-out FILE] [--metrics-out FILE] [--progress]`
 //!
 //! Telemetry is off by default (a disabled check is one relaxed atomic
@@ -83,9 +93,13 @@
 //!                [--queue-capacity N] [--cache-path P] [--cache-mmap]
 //!                [--cache-sync-secs S] ...
 //! campaign serve --listen /tmp/campaign.sock ...
-//! campaign submit --connect /tmp/campaign.sock [--scenario S]
-//!                 [--strategies L] [--steps N] [--repeats R] ...
+//! campaign submit --connect /tmp/campaign.sock [job flags]
 //! ```
+//!
+//! `submit` takes the one-shot job flags with the one-shot defaults
+//! (`--repeats 3 --steps 1000`, strategies
+//! `separate,combined,phase,random`). A raw submit frame keeps the
+//! protocol defaults documented on `JobSpec::from_json`.
 //!
 //! Every job warm-starts from the previous jobs' evaluations. With
 //! `--cache-path DIR.d`, saves go through merge-on-save (`flock` +
@@ -99,17 +113,41 @@
 use std::sync::Arc;
 
 use codesign_bench::{out_dir, Args};
-use codesign_core::{
-    probe_pair_evaluations, CodesignSpace, RewardShaping, ScenarioSpec, SurrogateConfig,
-};
-use codesign_engine::{
-    backend_from_name, Campaign, CancelToken, ShardedDriver, SharedEvalCache, StrategyKind,
-};
-use codesign_nasbench::{Dataset, NasbenchDatabase};
+use codesign_core::{CodesignSpace, ScenarioSpec};
+use codesign_engine::{backend_from_name, CancelToken, ShardedDriver, SharedEvalCache};
+use codesign_nasbench::{Json, NasbenchDatabase};
+use codesign_server::job::AUTO_NORM_SAMPLES;
+use codesign_server::JobSpec;
 
-/// Padding applied to probe-measured normalization ranges so the probe's
-/// extremes do not saturate at exactly 0 or 1.
-const AUTO_NORM_PAD: f64 = 0.05;
+/// The one-shot sweep's strategies when no `--strategies` is given.
+const DEFAULT_STRATEGIES: &str = "separate,combined,phase,random";
+
+/// Prints `message` and exits with the usage-error status 2.
+fn die(message: impl std::fmt::Display) -> ! {
+    eprintln!("{message}");
+    std::process::exit(2);
+}
+
+/// Serve mode keeps stdout clean for the JSONL event stream; its humans
+/// read stderr.
+fn log(to_stderr: bool, line: &str) {
+    if to_stderr {
+        eprintln!("{line}");
+    } else {
+        println!("{line}");
+    }
+}
+
+/// Creates `path` and writes it through a buffer, flushed before success
+/// is reported.
+fn write_file(
+    path: &str,
+    write: impl FnOnce(&mut std::io::BufWriter<std::fs::File>) -> std::io::Result<()>,
+) -> std::io::Result<()> {
+    let mut writer = std::io::BufWriter::new(std::fs::File::create(path)?);
+    write(&mut writer)?;
+    std::io::Write::flush(&mut writer)
+}
 
 /// How the evaluation cache persists across invocations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -123,26 +161,16 @@ enum CacheFormat {
 }
 
 impl CacheFormat {
-    /// Resolves `--cache-format`; with no explicit flag, the path decides:
-    /// `.json` keeps the legacy document, a `.d` suffix or an existing
-    /// directory means sharded, anything else is the v4 binary file.
-    fn resolve(flag: &str, path: &str) -> Result<Self, String> {
-        match flag {
-            "binary" => Ok(CacheFormat::Binary),
-            "json" => Ok(CacheFormat::Json),
-            "sharded" => Ok(CacheFormat::Sharded),
-            "" => {
-                if path.ends_with(".d") || std::path::Path::new(path).is_dir() {
-                    Ok(CacheFormat::Sharded)
-                } else if path.ends_with(".json") {
-                    Ok(CacheFormat::Json)
-                } else {
-                    Ok(CacheFormat::Binary)
-                }
-            }
-            other => Err(format!(
-                "unknown --cache-format '{other}' (binary|json|sharded)"
-            )),
+    /// The path decides: `.json` keeps the legacy document, a `.d` suffix
+    /// or an existing directory means sharded, anything else is the v4
+    /// binary file.
+    fn from_path(path: &str) -> Self {
+        if path.ends_with(".d") || std::path::Path::new(path).is_dir() {
+            CacheFormat::Sharded
+        } else if path.ends_with(".json") {
+            CacheFormat::Json
+        } else {
+            CacheFormat::Binary
         }
     }
 }
@@ -153,17 +181,10 @@ impl CacheFormat {
 /// through unchanged, so the migrated cache warm-starts exactly the runs
 /// the original would have. Exits the process.
 fn run_cache_migrate(src: &str, dst: &str) -> ! {
-    let file = std::fs::File::open(src).unwrap_or_else(|e| {
-        eprintln!("cache-migrate: cannot open {src}: {e}");
-        std::process::exit(2);
-    });
-    let (cache, salt) = match SharedEvalCache::load_json_with_salt(std::io::BufReader::new(file)) {
-        Ok(loaded) => loaded,
-        Err(e) => {
-            eprintln!("cache-migrate: {src}: {e}");
-            std::process::exit(2);
-        }
-    };
+    let file = std::fs::File::open(src)
+        .unwrap_or_else(|e| die(format!("cache-migrate: cannot open {src}: {e}")));
+    let (cache, salt) = SharedEvalCache::load_json_with_salt(std::io::BufReader::new(file))
+        .unwrap_or_else(|e| die(format!("cache-migrate: {src}: {e}")));
     let sharded = dst.ends_with(".d") || std::path::Path::new(dst).is_dir();
     let result = if sharded {
         cache.save_sharded(dst, salt).map(|_| ())
@@ -171,8 +192,7 @@ fn run_cache_migrate(src: &str, dst: &str) -> ! {
         cache.save_to_path(dst, salt)
     };
     if let Err(e) = result {
-        eprintln!("cache-migrate: cannot write {dst}: {e}");
-        std::process::exit(2);
+        die(format!("cache-migrate: cannot write {dst}: {e}"));
     }
     println!(
         "cache-migrate: {src} -> {dst} ({} pair entries, salt {salt:016x}, {})",
@@ -188,9 +208,9 @@ fn run_cache_migrate(src: &str, dst: &str) -> ! {
 /// database. A missing file just means a cold start, and so does a file
 /// written by an older format version — the cache is a rebuildable
 /// artifact, so a stale format is rebuilt in the current one rather than
-/// aborting the sweep. Everything else (salt mismatch, corruption) stays
-/// fatal: those files may belong to a *different database* and silently
-/// overwriting them would destroy work.
+/// aborting the sweep. Everything else (salt mismatch, corruption) is
+/// returned as an error: those files may belong to a *different database*
+/// and silently overwriting them would destroy work.
 ///
 /// `use_mmap` routes the v4 binary formats through `mmap(2)` instead of a
 /// buffered read — the kernel pages the records in on demand.
@@ -201,18 +221,9 @@ fn open_cache(
     cache_capacity: usize,
     use_mmap: bool,
     log_to_stderr: bool,
-) -> Option<Arc<SharedEvalCache>> {
-    // Serve mode keeps stdout clean for the JSONL event stream; its
-    // humans read stderr.
-    let log = |line: String| {
-        if log_to_stderr {
-            eprintln!("{line}");
-        } else {
-            println!("{line}");
-        }
-    };
+) -> Result<Option<Arc<SharedEvalCache>>, String> {
     if cache_path.is_empty() {
-        return None;
+        return Ok(None);
     }
     let bounded = |cache: SharedEvalCache| {
         if cache_capacity > 0 {
@@ -222,10 +233,11 @@ fn open_cache(
         }
     };
     if !std::path::Path::new(cache_path).exists() {
-        log(format!(
-            "cache: cold start ({cache_path} not found; will create it)"
-        ));
-        return Some(Arc::new(bounded(SharedEvalCache::new())));
+        log(
+            log_to_stderr,
+            &format!("cache: cold start ({cache_path} not found; will create it)"),
+        );
+        return Ok(Some(Arc::new(bounded(SharedEvalCache::new()))));
     }
     let load_result = match (cache_format, use_mmap) {
         (CacheFormat::Binary, false) => SharedEvalCache::load_from_path(cache_path, salt),
@@ -247,20 +259,23 @@ fn open_cache(
             );
             None
         }
-        Err(e) => panic!("cannot reuse cache {cache_path}: {e}"),
+        Err(e) => return Err(format!("cannot reuse cache {cache_path}: {e}")),
     };
     let loaded = bounded(loaded.unwrap_or_default());
     if loaded.stats().preloaded > 0 {
-        log(format!(
-            "cache: warm start from {cache_path} ({} pair entries preloaded; built by: {})",
-            loaded.stats().preloaded,
-            match loaded.provenance().len() {
-                0 => "unknown scenarios".to_owned(),
-                _ => loaded.provenance().join(", "),
-            }
-        ));
+        log(
+            log_to_stderr,
+            &format!(
+                "cache: warm start from {cache_path} ({} pair entries preloaded; built by: {})",
+                loaded.stats().preloaded,
+                match loaded.provenance().len() {
+                    0 => "unknown scenarios".to_owned(),
+                    _ => loaded.provenance().join(", "),
+                }
+            ),
+        );
     }
-    Some(Arc::new(loaded))
+    Ok(Some(Arc::new(loaded)))
 }
 
 /// Persists the cache in its configured format. Sharded directories go
@@ -274,25 +289,20 @@ fn persist_cache(
     cache_format: CacheFormat,
     salt: u64,
     log_to_stderr: bool,
-) {
-    match cache_format {
+) -> Result<(), String> {
+    let result = match cache_format {
         CacheFormat::Binary => cache
             .save_to_path(cache_path, salt)
-            .expect("persist evaluation cache"),
+            .map_err(|e| e.to_string()),
         CacheFormat::Json => {
-            let file = std::fs::File::create(cache_path).expect("create cache file");
-            let mut writer = std::io::BufWriter::new(file);
-            cache
-                .save_json(&mut writer, salt)
-                .expect("persist evaluation cache");
-            std::io::Write::flush(&mut writer).expect("persist evaluation cache");
+            write_file(cache_path, |w| cache.save_json(w, salt)).map_err(|e| e.to_string())
         }
-        CacheFormat::Sharded => {
-            cache
-                .sync_sharded(cache_path, salt)
-                .expect("persist evaluation cache");
-        }
-    }
+        CacheFormat::Sharded => cache
+            .sync_sharded(cache_path, salt)
+            .map(|_| ())
+            .map_err(|e| e.to_string()),
+    };
+    result.map_err(|e| format!("cannot persist cache to {cache_path}: {e}"))?;
     let line = format!(
         "cache persisted to {cache_path} ({} pair entries, {} format)",
         cache.len(),
@@ -302,47 +312,42 @@ fn persist_cache(
             CacheFormat::Sharded => "sharded v4 (merge-on-save)",
         }
     );
-    if log_to_stderr {
-        eprintln!("{line}");
-    } else {
-        println!("{line}");
-    }
+    log(log_to_stderr, &line);
+    Ok(())
 }
 
 /// Drains telemetry once and feeds every sink from the same snapshot, so
 /// the trace, the event log, and the summary all describe the identical
 /// run. No-op while telemetry is disabled.
-fn telemetry_exports(trace_out: &str, metrics_out: &str) {
+fn telemetry_exports(trace_out: &str, metrics_out: &str) -> Result<(), String> {
     if !codesign_telemetry::enabled() {
-        return;
+        return Ok(());
     }
     let spans = codesign_telemetry::drain_spans();
     let metrics = codesign_telemetry::metrics_snapshot();
     if !trace_out.is_empty() {
-        let file = std::fs::File::create(trace_out).expect("create trace file");
-        let mut writer = std::io::BufWriter::new(file);
-        codesign_telemetry::write_chrome_trace(
-            &mut writer,
-            &spans,
-            &codesign_telemetry::thread_names(),
-        )
-        .expect("write chrome trace");
+        let threads = codesign_telemetry::thread_names();
+        write_file(trace_out, |w| {
+            codesign_telemetry::write_chrome_trace(w, &spans, &threads)
+        })
+        .map_err(|e| format!("cannot write trace {trace_out}: {e}"))?;
         println!(
             "chrome trace written to {trace_out} ({} spans; open in Perfetto or chrome://tracing)",
             spans.len()
         );
     }
     if !metrics_out.is_empty() {
-        let file = std::fs::File::create(metrics_out).expect("create metrics file");
-        let mut writer = std::io::BufWriter::new(file);
-        codesign_telemetry::write_events_jsonl(&mut writer, &spans, &metrics)
-            .expect("write telemetry events");
+        write_file(metrics_out, |w| {
+            codesign_telemetry::write_events_jsonl(w, &spans, &metrics)
+        })
+        .map_err(|e| format!("cannot write telemetry events {metrics_out}: {e}"))?;
         println!("telemetry events written to {metrics_out}");
     }
     println!(
         "\ntelemetry summary:\n{}",
         codesign_telemetry::render_summary(&spans, &metrics)
     );
+    Ok(())
 }
 
 /// `campaign serve`: boot the resident job service. `--stdio` serves one
@@ -363,13 +368,7 @@ fn run_serve(args: &Args) -> ! {
     let queue_capacity = args.get_usize("queue-capacity", 16);
     let cache_path = args.get_str("cache-path", "");
     let cache_capacity = args.get_usize("cache-capacity", 0);
-    let cache_format = match CacheFormat::resolve(&args.get_str("cache-format", ""), &cache_path) {
-        Ok(format) => format,
-        Err(err) => {
-            eprintln!("{err}");
-            std::process::exit(2);
-        }
-    };
+    let cache_format = CacheFormat::from_path(&cache_path);
     let use_mmap = args.flag("cache-mmap");
     let sync_secs = args.get_usize("cache-sync-secs", 0);
 
@@ -385,6 +384,7 @@ fn run_serve(args: &Args) -> ! {
         use_mmap,
         true,
     )
+    .unwrap_or_else(|err| die(err))
     .unwrap_or_else(|| Arc::new(SharedEvalCache::new()));
     let server = CampaignServer::start(
         CodesignSpace::with_max_vertices(max_v),
@@ -439,9 +439,13 @@ fn run_serve(args: &Args) -> ! {
             }
             inner.abort();
             if !cache_path.is_empty() {
-                persist_cache(&cache, &cache_path, cache_format, salt, true);
+                if let Err(err) = persist_cache(&cache, &cache_path, cache_format, salt, true) {
+                    eprintln!("{err}");
+                }
             }
-            telemetry_exports(&trace_out, &metrics_out);
+            if let Err(err) = telemetry_exports(&trace_out, &metrics_out) {
+                eprintln!("{err}");
+            }
             eprintln!("serve: shut down on signal");
             std::process::exit(130);
         });
@@ -451,86 +455,40 @@ fn run_serve(args: &Args) -> ! {
     if args.flag("stdio") {
         server.serve_stdio();
     } else if listen.is_empty() {
-        eprintln!("usage: campaign serve (--stdio | --listen SOCKET-PATH) [options]");
-        std::process::exit(2);
+        die("usage: campaign serve (--stdio | --listen SOCKET-PATH) [options]");
     } else {
         #[cfg(unix)]
         server
             .serve_unix(std::path::Path::new(&listen))
-            .unwrap_or_else(|e| {
-                eprintln!("serve: cannot listen on {listen}: {e}");
-                std::process::exit(2);
-            });
+            .unwrap_or_else(|e| die(format!("serve: cannot listen on {listen}: {e}")));
         #[cfg(not(unix))]
-        {
-            eprintln!("serve: --listen requires unix domain sockets; use --stdio");
-            std::process::exit(2);
-        }
+        die("serve: --listen requires unix domain sockets; use --stdio");
     }
     server.join();
     if !cache_path.is_empty() {
-        persist_cache(&cache, &cache_path, cache_format, salt, true);
+        persist_cache(&cache, &cache_path, cache_format, salt, true).unwrap_or_else(|err| die(err));
     }
-    telemetry_exports(&trace_out, &metrics_out);
+    telemetry_exports(&trace_out, &metrics_out).unwrap_or_else(|err| die(err));
     std::process::exit(0);
 }
 
 /// `campaign submit`: one-shot client for a `campaign serve --listen`
-/// server. Builds a job from the same flags as the one-shot sweep, streams
-/// the server's event lines to stdout, and exits 0 on `job_done` (1 on an
-/// `error` event, 2 on usage errors).
+/// server. Builds the job from the one-shot flags ([`job_from_flags`]),
+/// streams the server's event lines to stdout, and exits 0 on `job_done`
+/// (1 on an `error` event, 2 on usage errors).
 #[cfg(unix)]
 fn run_submit(args: &Args) -> ! {
-    use codesign_nasbench::Json;
-    use codesign_server::{Event, JobSpec, Request};
+    use codesign_server::{Event, Request};
     use std::io::{BufRead, Write};
 
     let path = args.get_str("connect", "");
     if path.is_empty() {
-        eprintln!("usage: campaign submit --connect SOCKET-PATH [job flags]");
-        std::process::exit(2);
+        die("usage: campaign submit --connect SOCKET-PATH [job flags]");
     }
-    let scenarios = match resolve_scenarios(args) {
-        Ok(scenarios) => scenarios,
-        Err(err) => {
-            eprintln!("invalid scenarios: {err}");
-            std::process::exit(2);
-        }
-    };
-    let mut strategy_list = args.get_str("strategies", "");
-    if strategy_list.is_empty() {
-        strategy_list = args.get_str("strategy", "random");
-    }
-    let mut fields = vec![
-        (
-            "scenarios",
-            Json::Arr(scenarios.iter().map(ScenarioSpec::to_json).collect()),
-        ),
-        ("strategies", Json::Str(strategy_list)),
-        ("seed_base", Json::Num(args.get_u64("seed-base", 0) as f64)),
-        ("repeats", Json::Num(args.get_usize("repeats", 1) as f64)),
-        ("steps", Json::Num(args.get_usize("steps", 200) as f64)),
-        (
-            "population",
-            Json::Num(args.get_usize("population", StrategyKind::DEFAULT_NSGA_POPULATION) as f64),
-        ),
-    ];
-    let generations = args.get_usize("generations", 0);
-    if generations > 0 {
-        fields.push(("generations", Json::Num(generations as f64)));
-    }
-    let job = match JobSpec::from_json(&Json::obj(fields)) {
-        Ok(job) => job,
-        Err(err) => {
-            eprintln!("invalid job: {err}");
-            std::process::exit(2);
-        }
-    };
+    let job = job_from_flags(args).unwrap_or_else(|err| die(format!("invalid job: {err}")));
 
-    let stream = std::os::unix::net::UnixStream::connect(&path).unwrap_or_else(|e| {
-        eprintln!("submit: cannot connect to {path}: {e}");
-        std::process::exit(2);
-    });
+    let stream = std::os::unix::net::UnixStream::connect(&path)
+        .unwrap_or_else(|e| die(format!("submit: cannot connect to {path}: {e}")));
     let mut writer = stream.try_clone().expect("clone socket");
     writeln!(writer, "{}", Request::Submit(job).to_line()).expect("send job");
     // Half-close: the server sees EOF, drains this session's jobs, and
@@ -552,39 +510,60 @@ fn run_submit(args: &Args) -> ! {
 
 #[cfg(not(unix))]
 fn run_submit(_args: &Args) -> ! {
-    eprintln!("submit: requires unix domain sockets");
-    std::process::exit(2);
+    die("submit: requires unix domain sockets");
 }
 
-/// Resolves `--scenario` / `--scenarios-file` into the scenario axis.
-/// Both may be given; the file's scenarios come first.
-fn resolve_scenarios(args: &Args) -> Result<Vec<ScenarioSpec>, String> {
+/// Turns the job flags into a [`JobSpec`]. Flag values go into a job
+/// object as given, so [`JobSpec::from_json`] — the validator `serve`
+/// applies to submit frames — is the only place they are checked. The
+/// defaults are the one-shot sweep's: the paper presets, the four paper
+/// strategies, 3 seeds and 1000 steps.
+fn job_from_flags(args: &Args) -> Result<JobSpec, String> {
+    // `--scenarios-file` and `--scenario` may both be given; the file's
+    // scenarios come first.
     let mut scenarios = Vec::new();
     let file = args.get_str("scenarios-file", "");
     if !file.is_empty() {
-        scenarios.extend(ScenarioSpec::load_file(&file).map_err(|e| format!("{file}: {e}"))?);
+        let specs = ScenarioSpec::load_file(&file).map_err(|e| format!("{file}: {e}"))?;
+        scenarios.extend(specs.iter().map(ScenarioSpec::to_json));
     }
     let inline = args.get_str("scenario", "");
     if !inline.is_empty() {
-        let presets = ScenarioSpec::paper_presets();
-        let spec = match inline.parse::<usize>() {
-            Ok(index) if index < presets.len() => presets[index].clone(),
-            Ok(index) => return Err(format!("preset index {index} out of range (0..=2)")),
-            Err(_) => match ScenarioSpec::preset_by_name(&inline) {
-                Some(preset) => preset,
-                None => ScenarioSpec::parse_compact(&inline).map_err(|e| e.to_string())?,
-            },
-        };
-        scenarios.push(spec);
+        scenarios.push(Json::Str(inline));
     }
-    if scenarios.is_empty() {
-        scenarios = ScenarioSpec::paper_presets();
+    // `--strategy` is accepted as a singular alias for `--strategies`.
+    let strategies = match args.get_str("strategies", "") {
+        list if list.is_empty() => args.get_str("strategy", DEFAULT_STRATEGIES),
+        list => list,
+    };
+    let mut fields = vec![("strategies", Json::Str(strategies))];
+    if !scenarios.is_empty() {
+        fields.push(("scenarios", Json::Arr(scenarios)));
     }
-    // Reports, merged fronts, and cost calibration key on scenario names; a
-    // duplicate (two same-named entries in the file, or an inline scenario
-    // shadowing a file one) would silently pool unrelated reward functions.
-    codesign_core::check_unique_names(&scenarios).map_err(|e| e.to_string())?;
-    Ok(scenarios)
+    for (flag, key, default) in [
+        ("seed-base", "seed_base", "0"),
+        ("repeats", "repeats", "3"),
+        ("steps", "steps", "1000"),
+        ("population", "population", ""),
+        ("generations", "generations", ""),
+    ] {
+        let raw = args.get_str(flag, default);
+        if !raw.is_empty() {
+            // A value that is not a number stays a string, which the
+            // validator rejects with the key's own message.
+            fields.push((key, raw.parse::<f64>().map_or(Json::Str(raw), Json::Num)));
+        }
+    }
+    for (flag, key) in [
+        ("reward-shaping", "reward_shaping"),
+        ("surrogate", "surrogate"),
+    ] {
+        let raw = args.get_str(flag, "");
+        if !raw.is_empty() {
+            fields.push((key, Json::Str(raw)));
+        }
+    }
+    JobSpec::from_json(&Json::obj(fields))
 }
 
 fn describe(spec: &ScenarioSpec) {
@@ -620,10 +599,7 @@ fn main() {
             (Some(src), Some(dst)) if !src.starts_with("--") && !dst.starts_with("--") => {
                 run_cache_migrate(src, dst)
             }
-            _ => {
-                eprintln!("usage: campaign --cache-migrate OLD.json NEW[.d]");
-                std::process::exit(2);
-            }
+            _ => die("usage: campaign --cache-migrate OLD.json NEW[.d]"),
         }
     }
 
@@ -637,16 +613,10 @@ fn main() {
         return;
     }
 
-    let scenarios = match resolve_scenarios(&args) {
-        Ok(scenarios) => scenarios,
-        Err(err) => {
-            eprintln!("invalid scenarios: {err}");
-            std::process::exit(2);
-        }
-    };
+    let job = job_from_flags(&args).unwrap_or_else(|err| die(format!("invalid job: {err}")));
     if args.flag("check-scenarios") {
-        println!("{} scenario(s) valid:", scenarios.len());
-        for spec in &scenarios {
+        println!("{} scenario(s) valid:", job.scenarios.len());
+        for spec in &job.scenarios {
             describe(spec);
         }
         return;
@@ -662,92 +632,39 @@ fn main() {
         codesign_telemetry::set_enabled(true);
     }
 
-    let repeats = args.get_usize("repeats", 3);
     let max_v = args.get_usize("max-vertices", 4);
     let workers = args.get_usize("workers", 0);
-    let seed_base = args.get_u64("seed-base", 0);
     let backend_name = args.get_str("backend", "atomic");
+    let backend = backend_from_name(&backend_name).unwrap_or_else(|| {
+        die(format!(
+            "unknown --backend '{backend_name}' (atomic|work-stealing)"
+        ))
+    });
     let cache_path = args.get_str("cache-path", "");
     let cache_capacity = args.get_usize("cache-capacity", 0);
-    let cache_format = match CacheFormat::resolve(&args.get_str("cache-format", ""), &cache_path) {
-        Ok(format) => format,
-        Err(err) => {
-            eprintln!("{err}");
-            std::process::exit(2);
-        }
-    };
-
-    // NSGA knobs: --population sizes each generation; --generations, when
-    // given, expresses the whole step budget as population × generations
-    // (the natural unit for a generational strategy) and overrides --steps.
-    let population = args.get_usize("population", StrategyKind::DEFAULT_NSGA_POPULATION);
-    let generations = args.get_usize("generations", 0);
-    let steps = if generations > 0 {
-        population * generations
-    } else {
-        args.get_usize("steps", 1000)
-    };
-
-    // `--strategy` is accepted as a singular alias for `--strategies`.
-    let mut strategy_list = args.get_str("strategies", "");
-    if strategy_list.is_empty() {
-        strategy_list = args.get_str("strategy", "");
+    let cache_format = CacheFormat::from_path(&cache_path);
+    if args.flag("no-cache") && !cache_path.is_empty() {
+        die("--no-cache and --cache-path are contradictory");
     }
-    if strategy_list.is_empty() {
-        strategy_list = "separate,combined,phase,random".to_owned();
-    }
-    let strategies: Vec<StrategyKind> = strategy_list
-        .split(',')
-        .map(|name| {
-            let kind = StrategyKind::from_name(name.trim())
-                .unwrap_or_else(|| panic!("unknown strategy '{name}'"));
-            match kind {
-                StrategyKind::Nsga { .. } => StrategyKind::Nsga { population },
-                other => other,
-            }
-        })
-        .collect();
 
-    // --reward-shaping hv:W: hypervolume-gradient shaping for every shard.
-    // Parsed up front so a bad weight fails before the database builds.
-    let shaping = match RewardShaping::parse(&args.get_str("reward-shaping", "")) {
-        Ok(shaping) => shaping,
-        Err(err) => {
-            eprintln!("invalid --reward-shaping: {err}");
-            std::process::exit(2);
-        }
-    };
-
-    // --surrogate k:R: predict-then-verify guidance for the generational
-    // strategies (evolution/nsga). Parsed up front like --reward-shaping.
-    let surrogate = match SurrogateConfig::parse(&args.get_str("surrogate", "")) {
-        Ok(surrogate) => surrogate,
-        Err(err) => {
-            eprintln!("invalid --surrogate: {err}");
-            std::process::exit(2);
-        }
-    };
-
-    let mut campaign = Campaign::new(CodesignSpace::with_max_vertices(max_v))
-        .scenarios(scenarios)
-        .strategies(strategies)
-        .seeds((seed_base..seed_base + repeats as u64).collect())
-        .steps(steps)
-        .with_reward_shaping(shaping)
-        .with_surrogate(surrogate);
     println!(
-        "campaign: {} shards ({} scenarios x {} strategies x {repeats} seeds x {steps} steps)",
-        campaign.shards().len(),
-        campaign.scenarios.len(),
-        campaign.strategies.len(),
+        "campaign: {} shards ({} scenarios x {} strategies x {} seeds x {} steps)",
+        job.shard_count(),
+        job.scenarios.len(),
+        job.strategies.len(),
+        job.seeds.len(),
+        job.steps,
     );
-    if shaping.is_active() {
-        println!("reward shaping: {shaping} (marginal-hypervolume bonus on the controller reward)");
+    if job.reward_shaping.is_active() {
+        println!(
+            "reward shaping: {} (marginal-hypervolume bonus on the controller reward)",
+            job.reward_shaping
+        );
     }
-    if let Some(cfg) = surrogate {
+    if let Some(cfg) = job.surrogate {
         println!("surrogate: {cfg} (predict-then-verify on the evolution/nsga strategies)");
     }
-    for spec in &campaign.scenarios {
+    for spec in &job.scenarios {
         describe(spec);
     }
 
@@ -755,60 +672,8 @@ fn main() {
     let db = Arc::new(NasbenchDatabase::exhaustive(max_v));
     println!("database: {} cells\n", db.len());
 
-    // Auto-ranged normalizations: measure each auto metric's span from a
-    // deterministic enumeration probe sample before anything is compiled.
-    if campaign.needs_auto_norms() {
-        let samples = args.get_usize("probe-samples", 256);
-        println!("auto norms: probing {samples} enumeration samples...");
-        // Which (scenario, metric) pairs were actually auto-declared —
-        // only those get a "ranged to" line after resolution.
-        let auto_metrics: Vec<(String, codesign_core::MetricId)> = campaign
-            .scenarios
-            .iter()
-            .flat_map(|spec| {
-                spec.objectives()
-                    .iter()
-                    .filter(|o| o.norm_is_auto())
-                    .map(|o| (spec.name().to_owned(), o.metric()))
-                    .collect::<Vec<_>>()
-            })
-            .collect();
-        let probe = probe_pair_evaluations(&db, Dataset::Cifar10, samples);
-        campaign = match campaign.with_auto_norms(&probe, AUTO_NORM_PAD) {
-            Ok(resolved) => resolved,
-            Err(err) => {
-                eprintln!("auto-norm resolution failed: {err}");
-                std::process::exit(2);
-            }
-        };
-        for spec in &campaign.scenarios {
-            for objective in spec.objectives() {
-                if !auto_metrics.contains(&(spec.name().to_owned(), objective.metric())) {
-                    continue;
-                }
-                let (lo, hi) = objective.norm();
-                println!(
-                    "  {}: {} ranged to [{lo:.4}, {hi:.4}]",
-                    spec.name(),
-                    objective.metric()
-                );
-            }
-        }
-        println!();
-    }
-
-    let mut driver = ShardedDriver::new(workers).with_backend(
-        backend_from_name(&backend_name)
-            .unwrap_or_else(|| panic!("unknown backend '{backend_name}' (atomic|work-stealing)")),
-    );
-    if args.flag("no-cache") {
-        assert!(
-            cache_path.is_empty(),
-            "--no-cache and --cache-path are contradictory"
-        );
-        driver = driver.without_shared_cache();
-    }
-
+    // The cache's salt is the database fingerprint, so a stale or corrupt
+    // cache is caught right after the build, before any probing.
     let salt = db.fingerprint();
     let cache = open_cache(
         &cache_path,
@@ -817,7 +682,36 @@ fn main() {
         cache_capacity,
         args.flag("cache-mmap"),
         false,
-    );
+    )
+    .unwrap_or_else(|err| die(err));
+
+    let auto_norms = job.scenarios.iter().any(ScenarioSpec::has_auto_norms);
+    if auto_norms {
+        println!("auto norms: probing {AUTO_NORM_SAMPLES} enumeration samples...");
+    }
+    let mut campaign = job
+        .to_campaign(CodesignSpace::with_max_vertices(max_v), &db)
+        .unwrap_or_else(|err| die(err));
+    if auto_norms {
+        for (declared, resolved) in job.scenarios.iter().zip(&campaign.scenarios) {
+            for (objective, ranged) in declared.objectives().iter().zip(resolved.objectives()) {
+                if objective.norm_is_auto() {
+                    let (lo, hi) = ranged.norm();
+                    println!(
+                        "  {}: {} ranged to [{lo:.4}, {hi:.4}]",
+                        resolved.name(),
+                        ranged.metric()
+                    );
+                }
+            }
+        }
+        println!();
+    }
+
+    let mut driver = ShardedDriver::new(workers).with_backend(backend);
+    if args.flag("no-cache") {
+        driver = driver.without_shared_cache();
+    }
     if let Some(cache) = &cache {
         driver = driver.with_cache(Arc::clone(cache));
     }
@@ -896,8 +790,11 @@ fn main() {
     // weights only move dispatch order, never results — and the probe's
     // evaluations land in the shared cache, so its work is not wasted.
     if args.flag("calibrate") {
-        let probe_steps = args.get_usize("probe-steps", (steps / 10).max(20));
-        let probe_campaign = campaign.clone().seeds(vec![seed_base]).steps(probe_steps);
+        let probe_steps = (job.steps / 10).max(20);
+        let probe_campaign = campaign
+            .clone()
+            .seeds(vec![job.seeds[0]])
+            .steps(probe_steps);
         println!(
             "calibrate: probe sweep ({} shards x {probe_steps} steps)...",
             probe_campaign.shards().len()
@@ -942,10 +839,15 @@ fn main() {
         );
     }
 
+    // Output failures are reported after every other output is written.
+    let mut failed = false;
     if let Some(cache) = &cache {
         // Stamp the sweep's scenario names into the persisted provenance.
         cache.note_scenarios(report.scenario_names());
-        persist_cache(cache, &cache_path, cache_format, salt, false);
+        if let Err(err) = persist_cache(cache, &cache_path, cache_format, salt, false) {
+            eprintln!("{err}");
+            failed = true;
+        }
     }
 
     let jsonl = out_dir().join("campaign.jsonl");
@@ -960,5 +862,11 @@ fn main() {
         csv.display()
     );
 
-    telemetry_exports(&trace_out, &metrics_out);
+    if let Err(err) = telemetry_exports(&trace_out, &metrics_out) {
+        eprintln!("{err}");
+        failed = true;
+    }
+    if failed {
+        std::process::exit(2);
+    }
 }

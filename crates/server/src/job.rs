@@ -1,15 +1,41 @@
-//! Job specifications: the payload of a `submit` frame, validated with the
-//! same `ScenarioSpec`/`Campaign` machinery the one-shot CLI uses.
+//! Job specifications: the one description of a campaign. A `submit`
+//! frame carries one, and the `campaign` CLI turns its flags into one
+//! before a one-shot run or a `submit`, so one job gives one result
+//! however it is launched.
 
-use codesign_core::{CodesignSpace, ScenarioSpec};
+use codesign_core::{
+    probe_pair_evaluations, CodesignSpace, RewardShaping, ScenarioSpec, SurrogateConfig,
+};
 use codesign_engine::{Campaign, StrategyKind};
-use codesign_nasbench::Json;
+use codesign_nasbench::{Dataset, Json, NasbenchDatabase};
 
 /// Upper bound on one job's step budget per shard.
 pub const MAX_STEPS: usize = 1_000_000;
 
 /// Upper bound on one job's grid size (scenarios × strategies × seeds).
 pub const MAX_SHARDS: usize = 100_000;
+
+/// Padding applied to probe-measured normalization ranges so the probe's
+/// extremes do not saturate at exactly 0 or 1.
+pub const AUTO_NORM_PAD: f64 = 0.05;
+
+/// Enumeration probe pairs sampled to range auto normalizations.
+pub const AUTO_NORM_SAMPLES: usize = 256;
+
+/// Every key a job object may carry. Anything else is rejected, so a
+/// misspelt or unsupported setting fails loudly instead of being dropped.
+const KEYS: [&str; 10] = [
+    "scenarios",
+    "strategies",
+    "seeds",
+    "seed_base",
+    "repeats",
+    "steps",
+    "population",
+    "generations",
+    "reward_shaping",
+    "surrogate",
+];
 
 /// A validated campaign job: the grid a `submit` frame asks the server to
 /// run. The job never names a database — it runs against whatever database
@@ -25,32 +51,49 @@ pub struct JobSpec {
     pub seeds: Vec<u64>,
     /// Step budget per shard.
     pub steps: usize,
+    /// Hypervolume-gradient reward shaping for every shard.
+    pub reward_shaping: RewardShaping,
+    /// Predict-then-verify guidance for the generational strategies.
+    pub surrogate: Option<SurrogateConfig>,
 }
 
 impl JobSpec {
-    /// Parses and validates a job object. The shape mirrors the CLI:
+    /// Parses and validates a job object. Every key mirrors a `campaign`
+    /// flag, and this is the only validator: the CLI builds the same
+    /// object from its flags.
     ///
     /// ```text
     /// {
-    ///   "scenarios":  ["0" | "1 Constraint" | "lat<100; w=acc:1.0"
-    ///                  | {…ScenarioSpec JSON…}, …],   // default: presets
-    ///   "strategies": ["random", "nsga", …] | "random,nsga",
-    ///   "seeds":      [0, 1, 2],         // or "seed_base" + "repeats"
-    ///   "steps":      200,               // or "population" + "generations"
+    ///   "scenarios":      ["0" | "1 Constraint" | "lat<100; w=acc:1.0"
+    ///                      | {…ScenarioSpec JSON…}, …],  // default: presets
+    ///   "strategies":     ["random", "nsga", …] | "random,nsga",
+    ///                                     // default: "random"
+    ///   "seeds":          [0, 1, 2],      // or "seed_base" (default 0)
+    ///                                     // + "repeats" (default 1)
+    ///   "steps":          200,            // default 200; or "generations",
+    ///                                     // counted in "population" steps
+    ///   "population":     32,             // nsga generation size (default 32)
+    ///   "reward_shaping": "hv:0.5",       // default: "none"
+    ///   "surrogate":      "4:16",         // default: "off"
     /// }
     /// ```
     ///
     /// Scenario strings resolve exactly like `campaign --scenario`: a
     /// preset index, a preset name, or the compact grammar. Scenario
     /// objects are full `ScenarioSpec` documents ([`ScenarioSpec::from_json`]).
+    /// `reward_shaping` and `surrogate` take the flag syntax of
+    /// [`RewardShaping::parse`] and [`SurrogateConfig::parse`].
     ///
     /// # Errors
     ///
-    /// Returns a human-readable reason; the server wraps it in a typed
-    /// `invalid_job` error event.
+    /// Returns a human-readable reason (an unknown key is named); the
+    /// server wraps it in a typed `invalid_job` error event.
     pub fn from_json(doc: &Json) -> Result<JobSpec, String> {
-        if !matches!(doc, Json::Obj(_)) {
+        let Json::Obj(pairs) = doc else {
             return Err("job must be an object".into());
+        };
+        if let Some((key, _)) = pairs.iter().find(|(key, _)| !KEYS.contains(&key.as_str())) {
+            return Err(format!("unknown key '{key}'"));
         }
 
         let mut scenarios = Vec::new();
@@ -71,13 +114,8 @@ impl JobSpec {
 
         // NSGA population: one knob for every nsga strategy in the job,
         // like the CLI's --population.
-        let population = match doc.get("population") {
-            None => StrategyKind::DEFAULT_NSGA_POPULATION,
-            Some(value) => value
-                .as_usize()
-                .filter(|&p| p >= 2)
-                .ok_or("'population' must be an integer >= 2")?,
-        };
+        let population =
+            int_setting(doc, "population", 2)?.unwrap_or(StrategyKind::DEFAULT_NSGA_POPULATION);
         let strategy_names: Vec<String> = match doc.get("strategies") {
             None => vec!["random".to_owned()],
             Some(Json::Str(csv)) => csv.split(',').map(|s| s.trim().to_owned()).collect(),
@@ -116,21 +154,18 @@ impl JobSpec {
                 .collect::<Result<_, _>>()?,
             Some(_) => return Err("'seeds' must be an array of integers".into()),
             None => {
-                let base = doc
-                    .get("seed_base")
-                    .map(|v| v.as_usize().ok_or("'seed_base' must be an integer"))
-                    .transpose()?
-                    .unwrap_or(0) as u64;
-                let repeats = doc
-                    .get("repeats")
-                    .map(|v| {
-                        v.as_usize()
-                            .filter(|&r| r >= 1)
-                            .ok_or("'repeats' must be an integer >= 1")
-                    })
-                    .transpose()?
-                    .unwrap_or(1) as u64;
-                (base..base + repeats).collect()
+                let base = int_setting(doc, "seed_base", 0)?.unwrap_or(0) as u64;
+                let repeats = int_setting(doc, "repeats", 1)?.unwrap_or(1);
+                // Bounded before the seeds are allocated.
+                if repeats > MAX_SHARDS {
+                    return Err(format!(
+                        "{repeats} repeats exceed the {MAX_SHARDS}-shard cap"
+                    ));
+                }
+                let end = base
+                    .checked_add(repeats as u64)
+                    .ok_or("'seed_base' + 'repeats' overflows the seed range")?;
+                (base..end).collect()
             }
         };
         if seeds.is_empty() {
@@ -138,22 +173,11 @@ impl JobSpec {
         }
 
         // Step budget: explicit steps, or population × generations (the
-        // generational unit, like the CLI's --generations).
-        let generations = doc
-            .get("generations")
-            .map(|v| {
-                v.as_usize()
-                    .filter(|&g| g >= 1)
-                    .ok_or("'generations' must be an integer >= 1")
-            })
-            .transpose()?;
-        let steps = match (generations, doc.get("steps")) {
-            (Some(g), _) => population * g,
-            (None, Some(value)) => value
-                .as_usize()
-                .filter(|&s| s >= 1)
-                .ok_or("'steps' must be an integer >= 1")?,
-            (None, None) => 200,
+        // generational unit, like the CLI's --generations). The product
+        // saturates, so an overflowing budget fails the cap below.
+        let steps = match int_setting(doc, "generations", 1)? {
+            Some(generations) => population.saturating_mul(generations),
+            None => int_setting(doc, "steps", 1)?.unwrap_or(200),
         };
         if steps > MAX_STEPS {
             return Err(format!(
@@ -167,11 +191,18 @@ impl JobSpec {
             ));
         }
 
+        let reward_shaping = RewardShaping::parse(string_setting(doc, "reward_shaping")?)
+            .map_err(|e| format!("'reward_shaping': {e}"))?;
+        let surrogate = SurrogateConfig::parse(string_setting(doc, "surrogate")?)
+            .map_err(|e| format!("'surrogate': {e}"))?;
+
         Ok(JobSpec {
             scenarios,
             strategies,
             seeds,
             steps,
+            reward_shaping,
+            surrogate,
         })
     }
 
@@ -209,6 +240,12 @@ impl JobSpec {
         {
             fields.push(("population", Json::Num(*population as f64)));
         }
+        if self.reward_shaping.is_active() {
+            fields.push(("reward_shaping", Json::Str(self.reward_shaping.to_string())));
+        }
+        if let Some(surrogate) = self.surrogate {
+            fields.push(("surrogate", Json::Str(surrogate.to_string())));
+        }
         Json::obj(fields)
     }
 
@@ -218,14 +255,55 @@ impl JobSpec {
         self.scenarios.len() * self.strategies.len() * self.seeds.len()
     }
 
-    /// Instantiates the campaign over the server's search space.
-    #[must_use]
-    pub fn to_campaign(&self, space: CodesignSpace) -> Campaign {
-        Campaign::new(space)
+    /// Instantiates the campaign over `space`. Auto-ranged normalizations
+    /// are resolved from a deterministic enumeration probe of `db`
+    /// ([`AUTO_NORM_SAMPLES`] pairs, ranges padded by [`AUTO_NORM_PAD`]),
+    /// so the same job compiles to the same campaign wherever it runs.
+    ///
+    /// # Errors
+    ///
+    /// Returns the reason when an auto-ranged metric cannot be ranged (the
+    /// probe saw fewer than two distinct values of it).
+    pub fn to_campaign(
+        &self,
+        space: CodesignSpace,
+        db: &NasbenchDatabase,
+    ) -> Result<Campaign, String> {
+        let campaign = Campaign::new(space)
             .scenarios(self.scenarios.clone())
             .strategies(self.strategies.clone())
             .seeds(self.seeds.clone())
             .steps(self.steps)
+            .with_reward_shaping(self.reward_shaping)
+            .with_surrogate(self.surrogate);
+        if !campaign.needs_auto_norms() {
+            return Ok(campaign);
+        }
+        let probe = probe_pair_evaluations(db, Dataset::Cifar10, AUTO_NORM_SAMPLES);
+        campaign
+            .with_auto_norms(&probe, AUTO_NORM_PAD)
+            .map_err(|e| format!("auto-norm resolution failed: {e}"))
+    }
+}
+
+/// An optional integer setting of at least `min`.
+fn int_setting(doc: &Json, key: &str, min: usize) -> Result<Option<usize>, String> {
+    doc.get(key)
+        .map(|value| {
+            value
+                .as_usize()
+                .filter(|&n| n >= min)
+                .ok_or_else(|| format!("'{key}' must be an integer >= {min}"))
+        })
+        .transpose()
+}
+
+/// An optional string-valued setting (`""` when absent).
+fn string_setting<'a>(doc: &'a Json, key: &str) -> Result<&'a str, String> {
+    match doc.get(key) {
+        None => Ok(""),
+        Some(Json::Str(text)) => Ok(text),
+        Some(_) => Err(format!("'{key}' must be a string")),
     }
 }
 
@@ -263,13 +341,16 @@ mod tests {
         assert_eq!(job.strategies, vec![StrategyKind::Random]);
         assert_eq!(job.seeds, vec![0]);
         assert_eq!(job.steps, 200);
+        assert_eq!(job.reward_shaping, RewardShaping::None);
+        assert_eq!(job.surrogate, None);
     }
 
     #[test]
     fn job_json_round_trips() {
         let doc = Json::parse(
             r#"{"scenarios":["0","lat<100; w=acc:1.0"],"strategies":"random,nsga",
-                "seeds":[3,4],"steps":120,"population":8}"#,
+                "seeds":[3,4],"steps":120,"population":8,
+                "reward_shaping":"hv:0.5","surrogate":"4:16"}"#,
         )
         .unwrap();
         let job = JobSpec::from_json(&doc).unwrap();
@@ -279,6 +360,8 @@ mod tests {
         assert_eq!(back.steps, job.steps);
         assert_eq!(back.seeds, job.seeds);
         assert_eq!(back.strategies, job.strategies);
+        assert_eq!(back.reward_shaping, RewardShaping::parse("hv:0.5").unwrap());
+        assert_eq!(back.surrogate, SurrogateConfig::parse("4:16").unwrap());
         let names: Vec<&str> = back.scenarios.iter().map(ScenarioSpec::name).collect();
         let orig: Vec<&str> = job.scenarios.iter().map(ScenarioSpec::name).collect();
         assert_eq!(names, orig);
@@ -295,6 +378,21 @@ mod tests {
             (r#"{"seeds":[-1]}"#, "non-negative"),
             (r#"{"scenarios":["0","0"]}"#, ""),
             (r#"{"repeats":0}"#, ">= 1"),
+            (r#"{"repeats":1e12}"#, "cap"),
+            (
+                r#"{"seed_base":18446744073709551615,"repeats":2}"#,
+                "overflows",
+            ),
+            (r#"{"population":1e18,"generations":1e18}"#, "cap"),
+            (
+                r#"{"steps":10,"surogate":"4:16"}"#,
+                "unknown key 'surogate'",
+            ),
+            (r#"{"surrogate":"4"}"#, "'surrogate'"),
+            (r#"{"surrogate":"1:16"}"#, "at least 2"),
+            (r#"{"surrogate":4}"#, "must be a string"),
+            (r#"{"reward_shaping":"hv:-1"}"#, "'reward_shaping'"),
+            (r#"{"reward_shaping":"crowding"}"#, "unknown reward shaping"),
         ];
         for (text, needle) in cases {
             let doc = Json::parse(text).unwrap();

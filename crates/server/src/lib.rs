@@ -13,9 +13,11 @@
 //!   (`submit`/`ping`/`shutdown`), event frames
 //!   (`job_submitted`/`job_started`/`shard_result`/`job_done`/`error`/`pong`),
 //!   and the typed [`ProtocolError`] taxonomy with stable wire codes;
-//! * [`job`] — [`JobSpec`]: the validated scenario × strategy × seed grid
-//!   a `submit` frame asks for, resolved through the same
-//!   `ScenarioSpec`/`Campaign` machinery as the CLI;
+//! * [`job`] — [`JobSpec`]: the one campaign description — the validated
+//!   scenario × strategy × seed grid plus budget, reward shaping and
+//!   surrogate guidance — that `submit` frames carry and the `campaign`
+//!   CLI builds from its flags; [`JobSpec::to_campaign`] compiles it
+//!   against a database;
 //! * [`server`] — [`CampaignServer`]: the runner thread, bounded job
 //!   queue, per-session event sinks, and the stdio/Unix-socket frontends;
 //! * [`signals`] — the SIGINT/SIGTERM shutdown flag (no libc dependency),

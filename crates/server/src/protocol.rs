@@ -74,7 +74,8 @@ pub enum ProtocolError {
     },
     /// The frame's `"type"` is not a known request type.
     UnknownType(String),
-    /// A submit frame's job spec failed validation.
+    /// A submit frame's job spec failed validation, or its campaign could
+    /// not be built (an auto-ranged norm the probe cannot range).
     InvalidJob(String),
     /// The job queue is at capacity; retry after a `job_done`.
     QueueFull {

@@ -19,7 +19,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread;
 
 use codesign_core::CodesignSpace;
-use codesign_engine::{CancelToken, ShardObserver, ShardedDriver, SharedEvalCache};
+use codesign_engine::{Campaign, CancelToken, ShardObserver, ShardedDriver, SharedEvalCache};
 use codesign_nasbench::NasbenchDatabase;
 use codesign_telemetry::{span, Counter, Gauge, Histogram};
 
@@ -129,7 +129,7 @@ impl JobTicket {
 
 struct QueuedJob {
     id: u64,
-    spec: JobSpec,
+    campaign: Campaign,
     sink: EventSink,
     cancel: CancelToken,
     done: Arc<(Mutex<bool>, Condvar)>,
@@ -174,15 +174,21 @@ impl ServerInner {
         &self.cache
     }
 
-    /// Validates capacity and enqueues a job. Emits `job_submitted` into
-    /// the session's sink *before* the runner can see the job, so it
-    /// always precedes `job_started`.
+    /// Builds the job's campaign against the server's database, checks
+    /// capacity, and enqueues it. Emits `job_submitted` into the session's
+    /// sink *before* the runner can see the job, so it always precedes
+    /// `job_started`.
     ///
     /// # Errors
     ///
+    /// [`ProtocolError::InvalidJob`] when the campaign cannot be built
+    /// (an auto-ranged norm the probe cannot range),
     /// [`ProtocolError::ShuttingDown`] after shutdown began,
     /// [`ProtocolError::QueueFull`] at capacity.
     pub fn submit(&self, spec: JobSpec, sink: &EventSink) -> Result<JobTicket, ProtocolError> {
+        let campaign = spec
+            .to_campaign(self.space.clone(), &self.db)
+            .map_err(ProtocolError::InvalidJob)?;
         let mut queue = self.queue.lock().expect("queue poisoned");
         if self.shutting_down.load(Ordering::Relaxed) {
             return Err(ProtocolError::ShuttingDown);
@@ -204,7 +210,7 @@ impl ServerInner {
         });
         queue.push_back(QueuedJob {
             id,
-            spec,
+            campaign,
             sink: sink.clone(),
             cancel: CancelToken::new(),
             done: Arc::clone(&ticket.done),
@@ -349,7 +355,6 @@ impl ServerInner {
         *self.running_cancel.lock().expect("cancel poisoned") = Some(job.cancel.clone());
 
         job.sink.emit(&Event::JobStarted { job: job.id });
-        let campaign = job.spec.to_campaign(self.space.clone());
         let observer: ShardObserver = {
             let sink = job.sink.clone();
             let cancel = job.cancel.clone();
@@ -367,7 +372,7 @@ impl ServerInner {
             .with_cache(Arc::clone(&self.cache))
             .with_cancel_token(job.cancel.clone())
             .with_shard_observer(observer)
-            .run(&campaign, &self.db);
+            .run(&job.campaign, &self.db);
 
         let warm: u64 = report.shards.iter().map(|s| s.cache_warm_hits).sum();
         let cold: u64 = report.shards.iter().map(|s| s.cache_cold_hits).sum();
@@ -636,6 +641,34 @@ mod tests {
         let events = events_of(&buffer);
         assert!(matches!(&events[0], Event::Error { code, .. } if code == "malformed"));
         assert_eq!(events[1], Event::Pong, "session survived the bad frame");
+    }
+
+    #[test]
+    fn an_unrangeable_auto_norm_is_an_invalid_job_and_the_session_survives() {
+        // A one-cell database: every probed accuracy is equal, so an
+        // `acc:auto` norm has no range to measure.
+        let server = CampaignServer::start(
+            CodesignSpace::with_max_vertices(2),
+            Arc::new(NasbenchDatabase::exhaustive(2)),
+            Arc::new(SharedEvalCache::new()),
+            ServerConfig {
+                workers: 1,
+                queue_capacity: 2,
+            },
+        );
+        let (sink, buffer) = memory_sink();
+        let submit = r#"{"v":1,"type":"submit","job":{"scenarios":["w=acc:1; norm=acc:auto"]}}"#;
+        let mut reader = std::io::Cursor::new(format!("{submit}\n{{\"v\":1,\"type\":\"ping\"}}\n"));
+        server.inner().serve_session(&mut reader, &sink);
+        server.join();
+
+        let events = events_of(&buffer);
+        assert!(
+            matches!(&events[0], Event::Error { code, message, .. }
+                if code == "invalid_job" && message.contains("degenerate")),
+            "{events:?}"
+        );
+        assert_eq!(events[1], Event::Pong, "session survived the bad job");
     }
 
     #[test]

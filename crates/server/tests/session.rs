@@ -74,6 +74,11 @@ fn shard_essence(shard: &Json) -> Vec<(String, String)> {
         "best",
         "front",
         "hypervolume",
+        "surrogate",
+        "verify_rate",
+        "pred_mae",
+        "reward_shaping",
+        "hv_bonus",
     ]
     .iter()
     .map(|key| {
@@ -87,35 +92,58 @@ fn shard_essence(shard: &Json) -> Vec<(String, String)> {
 
 #[test]
 fn streamed_shards_are_bit_identical_to_the_one_shot_driver() {
-    let job = JobSpec::from_json(&job_doc()).expect("valid job");
-    let frames = format!("{}\n", Request::Submit(job.clone()).to_line());
-    let server = start_server();
-    let events = run_session(&server, &frames);
-    server.join();
+    // A guided, shaped job with an auto-ranged norm exercises every
+    // campaign setting a job carries, not just the grid.
+    let guided = Json::parse(&format!(
+        r#"{{"scenarios":["0","name=auto-acc; w=acc:1; norm=acc:auto"],
+            "strategies":"evolution,nsga","population":8,"seeds":[0],"steps":{STEPS},
+            "surrogate":"4:16","reward_shaping":"hv:0.5"}}"#
+    ))
+    .expect("literal json");
+    for doc in [job_doc(), guided] {
+        let job = JobSpec::from_json(&doc).expect("valid job");
+        let frames = format!("{}\n", Request::Submit(job.clone()).to_line());
+        let server = start_server();
+        let events = run_session(&server, &frames);
+        server.join();
 
-    // Reference: the exact same grid through the plain one-shot driver,
-    // with its own fresh cache and a different worker count.
-    let campaign: Campaign = job.to_campaign(CodesignSpace::with_max_vertices(MAX_VERTICES));
-    let db = Arc::new(NasbenchDatabase::exhaustive(MAX_VERTICES));
-    let report = ShardedDriver::new(1).run(&campaign, &db);
-    assert_eq!(report.shards.len(), job.shard_count());
+        // Reference: the exact same job through the plain one-shot driver,
+        // with its own fresh cache and a different worker count.
+        let db = Arc::new(NasbenchDatabase::exhaustive(MAX_VERTICES));
+        let campaign: Campaign = job
+            .to_campaign(CodesignSpace::with_max_vertices(MAX_VERTICES), &db)
+            .expect("job compiles");
+        let report = ShardedDriver::new(1).run(&campaign, &db);
+        assert_eq!(report.shards.len(), job.shard_count());
 
-    let mut streamed: Vec<Json> = events
-        .iter()
-        .filter_map(|event| match event {
-            Event::ShardResult { shard, .. } => Some(shard.clone()),
-            _ => None,
-        })
-        .collect();
-    assert_eq!(streamed.len(), report.shards.len());
-    streamed.sort_by_key(|shard| shard.get("index").and_then(Json::as_usize));
+        let mut streamed: Vec<Json> = events
+            .iter()
+            .filter_map(|event| match event {
+                Event::ShardResult { shard, .. } => Some(shard.clone()),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(streamed.len(), report.shards.len(), "{events:?}");
+        streamed.sort_by_key(|shard| shard.get("index").and_then(Json::as_usize));
 
-    for (streamed_shard, direct) in streamed.iter().zip(&report.shards) {
-        assert_eq!(
-            shard_essence(streamed_shard),
-            shard_essence(&direct.to_json()),
-            "server-streamed shard differs from the one-shot driver's"
-        );
+        for (streamed_shard, direct) in streamed.iter().zip(&report.shards) {
+            assert_eq!(
+                shard_essence(streamed_shard),
+                shard_essence(&direct.to_json()),
+                "server-streamed shard differs from the one-shot driver's"
+            );
+            // The job's settings reach the shards instead of being dropped.
+            let setting = |key: &str| streamed_shard.get(key).and_then(Json::as_str);
+            let guided = job.surrogate.is_some();
+            assert_eq!(
+                setting("surrogate"),
+                Some(if guided { "4:16" } else { "off" })
+            );
+            assert_eq!(
+                setting("reward_shaping"),
+                Some(if guided { "hv:0.5" } else { "none" })
+            );
+        }
     }
 }
 
