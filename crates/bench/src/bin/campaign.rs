@@ -115,7 +115,7 @@ use std::sync::Arc;
 use codesign_bench::{out_dir, Args};
 use codesign_core::{CodesignSpace, ScenarioSpec};
 use codesign_engine::{backend_from_name, CancelToken, ShardedDriver, SharedEvalCache};
-use codesign_nasbench::{Json, NasbenchDatabase};
+use codesign_nasbench::{Json, NasbenchDatabase, MAX_VERTICES};
 use codesign_server::job::AUTO_NORM_SAMPLES;
 use codesign_server::JobSpec;
 
@@ -136,6 +136,43 @@ fn log(to_stderr: bool, line: &str) {
     } else {
         println!("{line}");
     }
+}
+
+/// `--max-vertices` (default 4), checked before the database build: an
+/// out-of-range bound exits 2 instead of building for minutes and
+/// panicking.
+fn max_vertices(args: &Args) -> usize {
+    let max_v = args.get_usize("max-vertices", 4);
+    if !(2..=MAX_VERTICES).contains(&max_v) {
+        die(format!(
+            "--max-vertices must be in 2..={MAX_VERTICES}, got {max_v}"
+        ));
+    }
+    max_v
+}
+
+/// Builds the exhaustive `<= max_v`-vertex database inside a
+/// `database.build` telemetry span and logs its size and build time.
+fn build_database(max_v: usize, log_to_stderr: bool) -> Arc<NasbenchDatabase> {
+    let prefix = if log_to_stderr { "serve: " } else { "" };
+    log(
+        log_to_stderr,
+        &format!("{prefix}building exhaustive <= {max_v}-vertex database..."),
+    );
+    let start = std::time::Instant::now();
+    let mut span = codesign_telemetry::span("database.build", "nasbench");
+    let db = NasbenchDatabase::exhaustive(max_v);
+    span.add_arg("cells", db.len());
+    drop(span);
+    log(
+        log_to_stderr,
+        &format!(
+            "{prefix}database: {} cells in {:.2} s",
+            db.len(),
+            start.elapsed().as_secs_f64()
+        ),
+    );
+    Arc::new(db)
 }
 
 /// Creates `path` and writes it through a buffer, flushed before success
@@ -363,7 +400,7 @@ fn run_serve(args: &Args) -> ! {
         codesign_telemetry::set_enabled(true);
     }
 
-    let max_v = args.get_usize("max-vertices", 4);
+    let max_v = max_vertices(args);
     let workers = args.get_usize("workers", 0);
     let queue_capacity = args.get_usize("queue-capacity", 16);
     let cache_path = args.get_str("cache-path", "");
@@ -373,8 +410,7 @@ fn run_serve(args: &Args) -> ! {
     let sync_secs = args.get_usize("cache-sync-secs", 0);
 
     codesign_server::install_shutdown_handler();
-    eprintln!("serve: building exhaustive <= {max_v}-vertex database...");
-    let db = Arc::new(NasbenchDatabase::exhaustive(max_v));
+    let db = build_database(max_v, true);
     let salt = db.fingerprint();
     let cache = open_cache(
         &cache_path,
@@ -632,7 +668,7 @@ fn main() {
         codesign_telemetry::set_enabled(true);
     }
 
-    let max_v = args.get_usize("max-vertices", 4);
+    let max_v = max_vertices(&args);
     let workers = args.get_usize("workers", 0);
     let backend_name = args.get_str("backend", "atomic");
     let backend = backend_from_name(&backend_name).unwrap_or_else(|| {
@@ -668,9 +704,8 @@ fn main() {
         describe(spec);
     }
 
-    println!("building exhaustive <= {max_v}-vertex database...");
-    let db = Arc::new(NasbenchDatabase::exhaustive(max_v));
-    println!("database: {} cells\n", db.len());
+    let db = build_database(max_v, false);
+    println!();
 
     // The cache's salt is the database fingerprint, so a stale or corrupt
     // cache is caught right after the build, before any probing.

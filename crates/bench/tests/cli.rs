@@ -2,7 +2,7 @@
 //! each case prints a message and exits 2.
 
 use std::path::PathBuf;
-use std::process::Command;
+use std::process::{Command, Stdio};
 
 use codesign_engine::SharedEvalCache;
 
@@ -46,6 +46,32 @@ fn bad_flags_exit_2_before_the_database_is_built() {
             !stdout.contains("building exhaustive"),
             "{args:?} built the database before failing"
         );
+    }
+}
+
+#[test]
+fn out_of_range_max_vertices_exit_2_before_the_database_is_built() {
+    for bound in ["8", "1"] {
+        let (stdout, stderr) = run_rejected(&["--max-vertices", bound]);
+        assert!(
+            stderr.contains(&format!("--max-vertices must be in 2..=7, got {bound}")),
+            "{bound}: {stderr}"
+        );
+        assert!(!stdout.contains("building exhaustive"), "{bound}: {stdout}");
+
+        let out = Command::new(env!("CARGO_BIN_EXE_campaign"))
+            .args(["serve", "--stdio", "--max-vertices", bound])
+            .stdin(Stdio::null())
+            .current_dir(std::env::temp_dir())
+            .output()
+            .expect("run campaign serve");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "serve {bound}: {stderr}");
+        assert!(
+            stderr.contains("--max-vertices must be in 2..=7"),
+            "{stderr}"
+        );
+        assert!(!stderr.contains("building exhaustive"), "{stderr}");
     }
 }
 

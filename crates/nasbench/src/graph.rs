@@ -29,9 +29,10 @@ pub const MAX_VERTICES: usize = 7;
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct AdjMatrix {
-    vertices: usize,
-    /// Row-major `vertices × vertices` matrix; only `src < dst` entries may be set.
-    bits: Vec<bool>,
+    vertices: u8,
+    /// Bit `dst` of `rows[src]` is the edge `src -> dst`; only `src < dst`
+    /// bits may be set. Fixed-size, so a matrix never allocates.
+    rows: [u8; MAX_VERTICES],
 }
 
 impl AdjMatrix {
@@ -52,8 +53,8 @@ impl AdjMatrix {
             return Err(SpecError::TooFewVertices { got: vertices });
         }
         Ok(Self {
-            vertices,
-            bits: vec![false; vertices * vertices],
+            vertices: vertices as u8,
+            rows: [0; MAX_VERTICES],
         })
     }
 
@@ -103,42 +104,42 @@ impl AdjMatrix {
     /// Returns [`SpecError::NotUpperTriangular`] when `src >= dst` and
     /// [`SpecError::EdgeOutOfBounds`] when either endpoint is out of range.
     pub fn add_edge(&mut self, src: usize, dst: usize) -> Result<(), SpecError> {
-        if src >= self.vertices || dst >= self.vertices {
+        if src >= self.num_vertices() || dst >= self.num_vertices() {
             return Err(SpecError::EdgeOutOfBounds {
                 src,
                 dst,
-                vertices: self.vertices,
+                vertices: self.num_vertices(),
             });
         }
         if src >= dst {
             return Err(SpecError::NotUpperTriangular { src, dst });
         }
-        self.bits[src * self.vertices + dst] = true;
+        self.rows[src] |= 1 << dst;
         Ok(())
     }
 
     /// Number of vertices (including input and output).
     #[must_use]
     pub fn num_vertices(&self) -> usize {
-        self.vertices
+        usize::from(self.vertices)
     }
 
     /// Number of edges.
     #[must_use]
     pub fn num_edges(&self) -> usize {
-        self.bits.iter().filter(|&&b| b).count()
+        self.rows.iter().map(|row| row.count_ones() as usize).sum()
     }
 
     /// Returns `true` when the edge `src -> dst` exists.
     #[must_use]
     pub fn has_edge(&self, src: usize, dst: usize) -> bool {
-        src < self.vertices && dst < self.vertices && self.bits[src * self.vertices + dst]
+        src < self.num_vertices() && dst < self.num_vertices() && self.rows[src] >> dst & 1 == 1
     }
 
     /// Indices of vertices with an edge into `v`, ascending.
     #[must_use]
     pub fn in_neighbors(&self, v: usize) -> Vec<usize> {
-        (0..self.vertices)
+        (0..self.num_vertices())
             .filter(|&u| self.has_edge(u, v))
             .collect()
     }
@@ -146,7 +147,7 @@ impl AdjMatrix {
     /// Indices of vertices with an edge out of `v`, ascending.
     #[must_use]
     pub fn out_neighbors(&self, v: usize) -> Vec<usize> {
-        (0..self.vertices)
+        (0..self.num_vertices())
             .filter(|&w| self.has_edge(v, w))
             .collect()
     }
@@ -154,22 +155,26 @@ impl AdjMatrix {
     /// In-degree of `v`.
     #[must_use]
     pub fn in_degree(&self, v: usize) -> usize {
-        (0..self.vertices).filter(|&u| self.has_edge(u, v)).count()
+        (0..self.num_vertices())
+            .filter(|&u| self.has_edge(u, v))
+            .count()
     }
 
     /// Out-degree of `v`.
     #[must_use]
     pub fn out_degree(&self, v: usize) -> usize {
-        (0..self.vertices).filter(|&w| self.has_edge(v, w)).count()
+        (0..self.num_vertices())
+            .filter(|&w| self.has_edge(v, w))
+            .count()
     }
 
     /// Vertices reachable from vertex 0 (the input), as a membership mask.
     #[must_use]
     pub fn reachable_from_input(&self) -> Vec<bool> {
-        let mut seen = vec![false; self.vertices];
+        let mut seen = vec![false; self.num_vertices()];
         seen[0] = true;
         // Topological order == index order, so one forward pass suffices.
-        for v in 0..self.vertices {
+        for v in 0..self.num_vertices() {
             if seen[v] {
                 for w in self.out_neighbors(v) {
                     seen[w] = true;
@@ -182,10 +187,10 @@ impl AdjMatrix {
     /// Vertices that can reach the output vertex, as a membership mask.
     #[must_use]
     pub fn reaching_output(&self) -> Vec<bool> {
-        let last = self.vertices - 1;
-        let mut seen = vec![false; self.vertices];
+        let last = self.num_vertices() - 1;
+        let mut seen = vec![false; self.num_vertices()];
         seen[last] = true;
-        for v in (0..self.vertices).rev() {
+        for v in (0..self.num_vertices()).rev() {
             if seen[v] {
                 for u in self.in_neighbors(v) {
                     seen[u] = true;
@@ -206,12 +211,14 @@ impl AdjMatrix {
     pub fn prune(&self) -> Result<(AdjMatrix, Vec<usize>), SpecError> {
         let fwd = self.reachable_from_input();
         let bwd = self.reaching_output();
-        let keep: Vec<usize> = (0..self.vertices).filter(|&v| fwd[v] && bwd[v]).collect();
+        let keep: Vec<usize> = (0..self.num_vertices())
+            .filter(|&v| fwd[v] && bwd[v])
+            .collect();
         // Input and output must both survive and be connected to each other.
-        if !keep.contains(&0) || !keep.contains(&(self.vertices - 1)) {
+        if !keep.contains(&0) || !keep.contains(&(self.num_vertices() - 1)) {
             return Err(SpecError::Disconnected);
         }
-        if self.vertices > 1 && !(fwd[self.vertices - 1]) {
+        if self.num_vertices() > 1 && !(fwd[self.num_vertices() - 1]) {
             return Err(SpecError::Disconnected);
         }
         let mut pruned = AdjMatrix::empty(keep.len())?;
@@ -230,9 +237,9 @@ impl AdjMatrix {
     /// Returns 0 when the output is unreachable.
     #[must_use]
     pub fn longest_path(&self) -> usize {
-        let mut dist = vec![usize::MAX; self.vertices];
+        let mut dist = vec![usize::MAX; self.num_vertices()];
         dist[0] = 0;
-        for v in 0..self.vertices {
+        for v in 0..self.num_vertices() {
             if dist[v] == usize::MAX {
                 continue;
             }
@@ -243,7 +250,7 @@ impl AdjMatrix {
                 }
             }
         }
-        match dist[self.vertices - 1] {
+        match dist[self.num_vertices() - 1] {
             usize::MAX => 0,
             d => d,
         }
@@ -253,8 +260,8 @@ impl AdjMatrix {
     /// a cheap proxy for how parallel (wide) the cell is.
     #[must_use]
     pub fn max_width(&self) -> usize {
-        let mut depth = vec![0usize; self.vertices];
-        for v in 0..self.vertices {
+        let mut depth = vec![0usize; self.num_vertices()];
+        for v in 0..self.num_vertices() {
             for w in self.out_neighbors(v) {
                 depth[w] = depth[w].max(depth[v] + 1);
             }
@@ -262,7 +269,7 @@ impl AdjMatrix {
         let mut counts = std::collections::HashMap::new();
         for (v, d) in depth.iter().enumerate() {
             // Only interior vertices contribute to width.
-            if v != 0 && v != self.vertices - 1 {
+            if v != 0 && v != self.num_vertices() - 1 {
                 *counts.entry(*d).or_insert(0usize) += 1;
             }
         }
@@ -272,9 +279,9 @@ impl AdjMatrix {
     /// Row-major `0/1` rendering, useful for debugging and persistence.
     #[must_use]
     pub fn to_rows(&self) -> Vec<Vec<u8>> {
-        (0..self.vertices)
+        (0..self.num_vertices())
             .map(|i| {
-                (0..self.vertices)
+                (0..self.num_vertices())
                     .map(|j| u8::from(self.has_edge(i, j)))
                     .collect()
             })

@@ -1,15 +1,15 @@
 //! Validated cell specifications.
 //!
 //! A [`CellSpec`] is the unit the controller searches over: an
-//! upper-triangular DAG of at most [`MAX_VERTICES`](crate::MAX_VERTICES)
-//! vertices and [`MAX_EDGES`] edges whose interior vertices are labeled with
+//! upper-triangular DAG of at most [`MAX_VERTICES`] vertices and
+//! [`MAX_EDGES`] edges whose interior vertices are labeled with
 //! [`Op`]s (Fig. 2 of the paper; identical to NASBench-101). Construction
 //! validates and **prunes** the graph: vertices not on any input→output path
 //! are removed, exactly as NASBench-101 does before training, so two raw
 //! matrices that prune to the same graph compare equal.
 
 use crate::canon::canonical_hash;
-use crate::graph::AdjMatrix;
+use crate::graph::{AdjMatrix, MAX_VERTICES};
 use crate::{Op, SpecError};
 
 /// Maximum number of edges per (pruned) cell.
@@ -36,8 +36,22 @@ pub const MAX_EDGES: usize = 9;
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct CellSpec {
     matrix: AdjMatrix,
-    ops: Vec<Op>,
+    /// The interior ops, then [`PAD`] in the unused slots: a cell never
+    /// allocates.
+    ops: [Op; MAX_VERTICES - 2],
     canonical: u128,
+}
+
+/// The op in the unused slots of [`CellSpec`]'s op array.
+const PAD: Op = Op::Conv3x3;
+
+/// `ops` in a fixed array padded with [`PAD`].
+fn inline_ops(ops: impl IntoIterator<Item = Op>) -> [Op; MAX_VERTICES - 2] {
+    let mut slots = [PAD; MAX_VERTICES - 2];
+    for (slot, op) in slots.iter_mut().zip(ops) {
+        *slot = op;
+    }
+    slots
 }
 
 impl CellSpec {
@@ -68,17 +82,33 @@ impl CellSpec {
             });
         }
         // Keep only the ops of surviving interior vertices.
-        let pruned_ops: Vec<Op> = kept
-            .iter()
-            .filter(|&&v| v != 0 && v != matrix.num_vertices() - 1)
-            .map(|&v| ops[v - 1])
-            .collect();
-        let canonical = canonical_hash(&pruned, &pruned_ops);
+        let pruned_ops = inline_ops(
+            kept.iter()
+                .filter(|&&v| v != 0 && v != matrix.num_vertices() - 1)
+                .map(|&v| ops[v - 1]),
+        );
+        let canonical = canonical_hash(&pruned, &pruned_ops[..pruned.num_vertices() - 2]);
         Ok(Self {
             matrix: pruned,
             ops: pruned_ops,
             canonical,
         })
+    }
+
+    /// Wraps a cell that is already known to be valid and pruned, with
+    /// `canonical` its [`canonical_hash`]: what [`CellSpec::new`] would
+    /// return, without pruning and hashing again.
+    pub(crate) fn from_pruned(matrix: AdjMatrix, ops: &[Op], canonical: u128) -> Self {
+        let cell = Self {
+            matrix,
+            ops: inline_ops(ops.iter().copied()),
+            canonical,
+        };
+        debug_assert_eq!(
+            Self::new(cell.matrix.clone(), ops.to_vec()).as_ref(),
+            Ok(&cell)
+        );
+        cell
     }
 
     /// The pruned adjacency matrix.
@@ -90,7 +120,7 @@ impl CellSpec {
     /// Operations of the interior vertices (vertex `i + 1` runs `ops()[i]`).
     #[must_use]
     pub fn ops(&self) -> &[Op] {
-        &self.ops
+        &self.ops[..self.num_vertices() - 2]
     }
 
     /// Operation of vertex `v`, or `None` for the input/output vertices.
@@ -99,7 +129,7 @@ impl CellSpec {
         if v == 0 || v + 1 == self.num_vertices() {
             None
         } else {
-            self.ops.get(v - 1).copied()
+            self.ops().get(v - 1).copied()
         }
     }
 
@@ -133,7 +163,7 @@ impl CellSpec {
     /// Count of interior vertices labeled with `op`.
     #[must_use]
     pub fn count_op(&self, op: Op) -> usize {
-        self.ops.iter().filter(|&&o| o == op).count()
+        self.ops().iter().filter(|&&o| o == op).count()
     }
 }
 

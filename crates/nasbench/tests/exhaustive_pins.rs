@@ -7,6 +7,8 @@
 //! The v ≤ 6 pin and the full v ≤ 7 census are `#[ignore]`d; run them in
 //! release mode with `cargo test --release -p codesign-nasbench -- --ignored`.
 
+use std::time::Instant;
+
 use codesign_nasbench::NasbenchDatabase;
 
 /// `(max_vertices, len, fingerprint, order digest)`.
@@ -56,4 +58,18 @@ fn exhaustive_builds_match_pins_up_to_5_vertices() {
 #[ignore = "64,542 cells; run in release with --ignored"]
 fn exhaustive_build_matches_pin_at_6_vertices() {
     check_pin(6);
+}
+
+#[test]
+#[ignore = "423,624 cells; run in release with --ignored"]
+fn exhaustive_build_at_7_vertices_has_the_nasbench_count() {
+    let start = Instant::now();
+    let db = NasbenchDatabase::exhaustive(7);
+    println!(
+        "v <= 7: {} cells in {:.2} s",
+        db.len(),
+        start.elapsed().as_secs_f64()
+    );
+    // NASBench-101's published count of unique models.
+    assert_eq!(db.len(), 423_624);
 }
