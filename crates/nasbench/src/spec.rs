@@ -36,18 +36,15 @@ pub const MAX_EDGES: usize = 9;
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct CellSpec {
     matrix: AdjMatrix,
-    /// The interior ops, then [`PAD`] in the unused slots: a cell never
-    /// allocates.
+    /// The interior ops, padded with `Op::Conv3x3` so that equal cells
+    /// compare equal: a cell never allocates.
     ops: [Op; MAX_VERTICES - 2],
     canonical: u128,
 }
 
-/// The op in the unused slots of [`CellSpec`]'s op array.
-const PAD: Op = Op::Conv3x3;
-
-/// `ops` in a fixed array padded with [`PAD`].
+/// `ops` in a fixed array, padded with `Op::Conv3x3`.
 fn inline_ops(ops: impl IntoIterator<Item = Op>) -> [Op; MAX_VERTICES - 2] {
-    let mut slots = [PAD; MAX_VERTICES - 2];
+    let mut slots = [Op::Conv3x3; MAX_VERTICES - 2];
     for (slot, op) in slots.iter_mut().zip(ops) {
         *slot = op;
     }
