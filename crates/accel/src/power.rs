@@ -4,7 +4,7 @@
 //! multi-objective reward, but the evaluation sections only ever use
 //! accuracy/latency/area. This module supplies the missing piece so
 //! four-objective codesign can be explored (see the `power_aware` scenario
-//! test and the moo crate's const-generic rewards): a standard
+//! test and the moo crate's `DynRewardSpec`): a standard
 //! CMOS-style decomposition into static leakage proportional to provisioned
 //! resources and dynamic power proportional to switched capacitance times
 //! utilization.

@@ -71,8 +71,6 @@ pub use experiments::{
     compare_strategies, top_pareto_points, ComparisonConfig, ScenarioComparison, StrategyRuns,
 };
 pub use nsga::NsgaSearch;
-#[allow(deprecated)]
-pub use scenarios::Scenario;
 pub use scenarios::{
     check_unique_names, scenarios_from_document, scenarios_to_document, CompiledScenario, MetricId,
     ObjectiveSpec, ScenarioError, ScenarioSpec, ScenarioSpecBuilder, SCENARIO_FORMAT,

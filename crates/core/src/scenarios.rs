@@ -16,9 +16,9 @@
 //!   runtime-dimension [`DynRewardSpec`], fed straight from
 //!   [`PairEvaluation`]s during search.
 //!
-//! The paper's three experiments are [`ScenarioSpec::paper_presets`]; their
-//! compiled rewards are bit-identical to the historical closed
-//! [`Scenario`] enum (asserted by the parity tests).
+//! The paper's three experiments are [`ScenarioSpec::paper_presets`]; the
+//! engine's parity test re-scores their recorded campaigns with an
+//! independent Eq. 3 reference.
 //!
 //! All normalization ranges and thresholds are written in *natural* units
 //! (milliseconds, mm², watts); the all-maximize signing of Eq. 4 is an
@@ -26,8 +26,8 @@
 //!
 //! # Examples
 //!
-//! A scenario the closed enum could never express — maximize accuracy under
-//! a 6 W power cap:
+//! A scenario outside the paper's fixed triple — maximize accuracy under a
+//! 6 W power cap:
 //!
 //! ```
 //! use codesign_core::{MetricId, ScenarioSpec};
@@ -47,7 +47,6 @@ use std::fmt;
 
 use codesign_moo::{
     AxisSchema, DynParetoFront, DynRewardSpec, LinearNorm, MetricVector, Punishment, RewardOutcome,
-    RewardSpec,
 };
 use codesign_nasbench::Json;
 
@@ -542,8 +541,8 @@ impl ScenarioSpec {
     /// 3. **2 Constraints** — `acc > 0.92`, `area < 100 mm²`, optimize
     ///    latency.
     ///
-    /// Compiled rewards are bit-identical to the historical [`Scenario`]
-    /// enum (see the parity tests).
+    /// The engine's parity test re-scores recorded campaigns of these
+    /// presets with an independent Eq. 3 reference.
     #[must_use]
     pub fn paper_presets() -> Vec<ScenarioSpec> {
         vec![
@@ -595,8 +594,8 @@ impl ScenarioSpec {
         Self::paper_presets().into_iter().find(|s| s.name == name)
     }
 
-    /// A builder pre-loaded with the paper's normalization ranges (the
-    /// historical `Scenario::standard_norms`, in natural units).
+    /// A builder pre-loaded with the paper's normalization ranges, in
+    /// natural units.
     fn paper_builder(name: &str) -> ScenarioSpecBuilder {
         Self::builder(name)
             .norm(MetricId::AreaMm2, 45.0, 215.0)
@@ -1320,102 +1319,7 @@ impl CompiledScenario {
     }
 }
 
-/// One of the paper's §III-C experiments — the historical closed scenario
-/// API.
-#[deprecated(note = "use `ScenarioSpec::paper_presets()`; the enum survives \
-                     only as a parity anchor for the declarative API")]
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Scenario {
-    /// No constraints; heavily latency-weighted scalarization.
-    Unconstrained,
-    /// Latency constraint (`< 100 ms`); accuracy-weighted scalarization.
-    OneConstraint,
-    /// Accuracy (`> 0.92`) and area (`< 100 mm²`) constraints; pure latency
-    /// objective.
-    TwoConstraints,
-}
-
-#[allow(deprecated)]
-impl Scenario {
-    /// All scenarios in paper order.
-    pub const ALL: [Scenario; 3] = [
-        Scenario::Unconstrained,
-        Scenario::OneConstraint,
-        Scenario::TwoConstraints,
-    ];
-
-    /// Display name matching the paper's figures.
-    #[must_use]
-    pub fn name(&self) -> &'static str {
-        match self {
-            Scenario::Unconstrained => "Unconstrained",
-            Scenario::OneConstraint => "1 Constraint",
-            Scenario::TwoConstraints => "2 Constraints",
-        }
-    }
-
-    /// The standard metric normalizations shared by every scenario, in the
-    /// signed `(−area, −lat, acc)` order.
-    ///
-    /// # Panics
-    ///
-    /// Never panics: the ranges are static and non-degenerate.
-    #[must_use]
-    pub fn standard_norms() -> [LinearNorm; 3] {
-        [
-            LinearNorm::new(-215.0, -45.0).expect("static range"), // -area (mm^2)
-            LinearNorm::new(-400.0, -5.0).expect("static range"),  // -latency (ms)
-            LinearNorm::new(0.80, 0.95).expect("static range"),    // accuracy
-        ]
-    }
-
-    /// The equivalent declarative specification.
-    #[must_use]
-    pub fn to_spec(&self) -> ScenarioSpec {
-        match self {
-            Scenario::Unconstrained => ScenarioSpec::unconstrained(),
-            Scenario::OneConstraint => ScenarioSpec::one_constraint(),
-            Scenario::TwoConstraints => ScenarioSpec::two_constraints(),
-        }
-    }
-
-    /// The scenario's reward specification (Eq. 3) over the signed triple —
-    /// the historical fixed-dimension path, kept as the parity anchor.
-    ///
-    /// # Panics
-    ///
-    /// Never panics: weights and thresholds are static and valid.
-    #[must_use]
-    pub fn reward_spec(&self) -> RewardSpec<3> {
-        let builder = RewardSpec::builder()
-            .norms(Self::standard_norms())
-            .punishment(Punishment::ScaledViolation { scale: 0.1 })
-            .expect("static punishment");
-        match self {
-            Scenario::Unconstrained => builder
-                .weights([0.1, 0.8, 0.1])
-                .expect("static weights")
-                .build()
-                .expect("complete spec"),
-            Scenario::OneConstraint => builder
-                .weights([0.1, 0.0, 0.9])
-                .expect("static weights")
-                .threshold(1, -100.0)
-                .build()
-                .expect("complete spec"),
-            Scenario::TwoConstraints => builder
-                .weights([0.0, 1.0, 0.0])
-                .expect("static weights")
-                .threshold(0, -100.0)
-                .threshold(2, 0.92)
-                .build()
-                .expect("complete spec"),
-        }
-    }
-}
-
 #[cfg(test)]
-#[allow(deprecated)]
 mod tests {
     use super::*;
 
@@ -1428,8 +1332,51 @@ mod tests {
         }
     }
 
+    /// Expected `(feasible, reward bits)` of every probe below under each
+    /// paper preset, in preset order. Written out as literals (computed
+    /// outside Rust from Eq. 3) so the check does not re-derive the
+    /// presets' weights, norms or thresholds.
+    const PRESET_REWARD_BITS: [(&str, [(bool, u64); 7]); 3] = [
+        (
+            "Unconstrained",
+            [
+                (true, 0x3feb_3ebf_b897_89ee),
+                (true, 0x3fd6_35ed_56fa_f32d),
+                (true, 0x3fec_70c1_1e72_0cf3),
+                (true, 0x3fb9_9999_9999_999a),
+                (true, 0x3fe8_03dc_fa24_44ae),
+                (true, 0x0000_0000_0000_0000),
+                (true, 0x3fec_753a_4015_4efe),
+            ],
+        ),
+        (
+            "1 Constraint",
+            [
+                (true, 0x3fea_bf8c_5925_f2c5),
+                (false, 0xbfc3_47f0_7210_d9c4),
+                (true, 0x3fec_e4e4_e4e4_e4e5),
+                (false, 0xbfc6_8582_44b2_e03f),
+                (false, 0xbfb9_aa30_ff17_b874),
+                (false, 0xbfd3_5cad_b0ee_8054),
+                (true, 0x3feb_501c_e9b6_8355),
+            ],
+        ),
+        (
+            "2 Constraints",
+            [
+                (false, 0xbfbc_9c9c_9c9c_9c9d),
+                (false, 0xbfc0_369d_0369_d038),
+                (false, 0xbfc5_1515_1515_1515),
+                (false, 0xbfc7_0a3d_70a3_d70c),
+                (false, 0xbfba_740d_a740_da75),
+                (false, 0xbfea_16e3_b07d_4a1a),
+                (true, 0x3fed_2a20_67b2_3a54),
+            ],
+        ),
+    ];
+
     #[test]
-    fn presets_match_enum_rewards_bitwise() {
+    fn presets_score_pinned_reward_bits() {
         let probes = [
             eval(0.93, 50.0, 120.0, 3.0),
             eval(0.88, 300.0, 60.0, 1.5),
@@ -1437,36 +1384,28 @@ mod tests {
             eval(0.80, 400.0, 45.0, 0.6),
             eval(0.915, 101.0, 99.0, 5.0), // near every preset threshold
             eval(0.2, 900.0, 500.0, 25.0), // far outside every norm range
+            eval(0.93, 40.0, 90.0, 2.0),   // feasible under every preset
         ];
-        for (scenario, spec) in Scenario::ALL.iter().zip(ScenarioSpec::paper_presets()) {
-            assert_eq!(scenario.name(), spec.name());
-            let legacy = scenario.reward_spec();
+        for (spec, (name, expected)) in ScenarioSpec::paper_presets().iter().zip(PRESET_REWARD_BITS)
+        {
+            assert_eq!(spec.name(), name);
             let compiled = spec.compile();
-            for e in &probes {
-                let old = legacy.evaluate(&e.metrics());
-                let new = compiled.reward(e);
-                assert_eq!(
-                    old.is_feasible(),
-                    new.is_feasible(),
-                    "{}: {e:?}",
-                    spec.name()
-                );
-                assert_eq!(
-                    old.value().to_bits(),
-                    new.value().to_bits(),
-                    "{}: {e:?} old {} new {}",
-                    spec.name(),
-                    old.value(),
-                    new.value()
-                );
-                let triple = new
-                    .is_feasible()
-                    .then(|| compiled.scalarize_triple(&e.metrics()).unwrap());
-                if let Some(t) = triple {
-                    assert_eq!(t.to_bits(), legacy.scalarize(&e.metrics()).to_bits());
+            let got: Vec<(bool, u64)> = probes
+                .iter()
+                .map(|e| {
+                    let r = compiled.reward(e);
+                    (r.is_feasible(), r.value().to_bits())
+                })
+                .collect();
+            assert_eq!(got, expected, "{name}: {got:#x?}");
+            for (e, &(feasible, bits)) in probes.iter().zip(&expected) {
+                // The paper-triple path scores feasible points identically.
+                if feasible {
+                    let triple = compiled.scalarize_triple(&e.metrics()).unwrap();
+                    assert_eq!(triple.to_bits(), bits, "{name}: {e:?}");
                 }
+                assert_eq!(compiled.is_feasible_triple(&e.metrics()), Some(feasible));
             }
-            assert_eq!(scenario.to_spec(), spec);
         }
     }
 
@@ -1847,12 +1786,13 @@ mod tests {
     #[test]
     fn accuracy_norm_falls_back_to_the_standard_range() {
         let with_acc = ScenarioSpec::one_constraint().compile();
-        assert_eq!(with_acc.accuracy_norm(), Scenario::standard_norms()[2]);
+        let standard = LinearNorm::new(0.80, 0.95).unwrap();
+        assert_eq!(with_acc.accuracy_norm(), standard);
         let without_acc = ScenarioSpec::builder("hw-only")
             .weight(MetricId::LatencyMs, 1.0)
             .build()
             .unwrap()
             .compile();
-        assert_eq!(without_acc.accuracy_norm(), Scenario::standard_norms()[2]);
+        assert_eq!(without_acc.accuracy_norm(), standard);
     }
 }

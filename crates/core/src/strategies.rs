@@ -19,7 +19,7 @@
 use rand::rngs::SmallRng;
 use rand::Rng;
 
-use codesign_moo::{LinearNorm, RewardSpec};
+use codesign_moo::{DynRewardSpec, LinearNorm};
 use codesign_rl::{LstmPolicy, PolicyConfig, ReinforceConfig, ReinforceTrainer};
 
 use crate::search::{SearchConfig, SearchContext, SearchOutcome, SearchRecorder, SearchStrategy};
@@ -308,11 +308,11 @@ fn random_valid_cnn_actions(ctx: &SearchContext<'_>, rng: &mut SmallRng) -> Vec<
 }
 
 /// Single-metric reward spec over accuracy alone, for separate search phase 1.
-fn accuracy_only_spec(norm: LinearNorm) -> RewardSpec<1> {
-    RewardSpec::builder()
-        .weights([1.0])
+fn accuracy_only_spec(norm: LinearNorm) -> DynRewardSpec {
+    DynRewardSpec::builder()
+        .weights(vec![1.0])
         .expect("static weights")
-        .norms([norm])
+        .norms(vec![norm])
         .build()
         .expect("complete spec")
 }

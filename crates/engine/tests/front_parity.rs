@@ -1,23 +1,22 @@
 //! Acceptance tests for the scenario-native Pareto pipeline.
 //!
-//! 1. **Legacy parity** — a recorded paper-preset campaign, re-extracted
-//!    with the historical const-generic `ParetoFront<3>` over the recorded
-//!    `(−area, −lat, acc)` step diagnostics, is bit-identical to the new
+//! 1. **Brute-force parity** — a recorded paper-preset campaign,
+//!    re-extracted with a brute-force `O(n²)` filter over the recorded
+//!    `(−area, −lat, acc)` step diagnostics, is bit-identical to the
 //!    runtime-dimension fronts: per-shard membership, order-independent
 //!    set equality of the merged fronts, and equal dominated hypervolume.
-//!    The proof is non-circular: the legacy fronts are rebuilt from the
-//!    step histories alone, never from the dyn fronts.
+//!    The proof is non-circular: the reference fronts are rebuilt from the
+//!    step histories alone, with their own dominance test, never from the
+//!    dyn fronts.
 //! 2. **Scenario-native axes** — a two-metric accuracy × power scenario
 //!    produces fronts and JSONL/CSV exports carrying exactly those two
 //!    axes (`acc`, `power`), with no borrowed triple columns.
 
-#![allow(deprecated)]
-
 use std::sync::Arc;
 
-use codesign_core::{CodesignSpace, MetricId, Scenario, ScenarioSpec};
+use codesign_core::{CodesignSpace, MetricId, ScenarioSpec};
 use codesign_engine::{Campaign, ShardedDriver, StrategyKind};
-use codesign_moo::{hypervolume_3d, ParetoFront};
+use codesign_moo::{hypervolume_3d, DynParetoFront};
 use codesign_nasbench::{Json, NasbenchDatabase};
 
 fn preset_campaign() -> Campaign {
@@ -29,69 +28,80 @@ fn preset_campaign() -> Campaign {
         .record_histories(true)
 }
 
-type LegacyFront = ParetoFront<3, ()>;
-
-fn sorted_bits_legacy(front: &LegacyFront) -> Vec<Vec<u64>> {
-    let mut bits: Vec<Vec<u64>> = front
+/// The points no other point strictly dominates (at least as good
+/// everywhere and not equal), under the all-maximize convention. Equal
+/// points are all kept.
+fn brute_force_front(points: &[[f64; 3]]) -> Vec<[f64; 3]> {
+    let dominates = |q: &[f64; 3], p: &[f64; 3]| q != p && q.iter().zip(p).all(|(a, b)| a >= b);
+    points
         .iter()
-        .map(|(m, ())| m.iter().map(|v| v.to_bits()).collect())
+        .filter(|p| !points.iter().any(|q| dominates(q, p)))
+        .copied()
+        .collect()
+}
+
+fn sorted_bits(points: &[[f64; 3]]) -> Vec<Vec<u64>> {
+    let mut bits: Vec<Vec<u64>> = points
+        .iter()
+        .map(|m| m.iter().map(|v| v.to_bits()).collect())
         .collect();
     bits.sort_unstable();
     bits
 }
 
-fn sorted_bits_dyn<T>(front: &codesign_moo::DynParetoFront<T>) -> Vec<Vec<u64>> {
+fn sorted_bits_dyn<T>(front: &DynParetoFront<T>) -> Vec<Vec<u64>> {
     let mut bits: Vec<Vec<u64>> = front.iter().map(|(m, _)| m.to_bits()).collect();
     bits.sort_unstable();
     bits
 }
 
 #[test]
-fn dyn_fronts_rederive_bitwise_under_the_legacy_const_generic_front() {
+fn dyn_fronts_rederive_bitwise_under_a_brute_force_filter() {
     let campaign = preset_campaign();
     let db = Arc::new(NasbenchDatabase::exhaustive(4));
     let report = ShardedDriver::new(4).run(&campaign, &db);
     assert_eq!(report.shards.len(), 3 * 4 * 2);
 
-    // Per-shard parity: replaying the recorded history through the legacy
-    // front must reproduce the dyn front's member set exactly (the preset
-    // scenarios' axes are the signed paper triple, in the same order).
-    let mut legacy_merged: Vec<(String, LegacyFront)> = Scenario::ALL
+    // Per-shard parity: brute-force filtering the recorded history must
+    // reproduce the dyn front's member set exactly (the preset scenarios'
+    // axes are the signed paper triple, in the same order).
+    let mut visited: Vec<(String, Vec<[f64; 3]>)> = ScenarioSpec::paper_presets()
         .iter()
-        .map(|s| (s.name().to_owned(), ParetoFront::new()))
+        .map(|s| (s.name().to_owned(), Vec::new()))
         .collect();
     for shard in &report.shards {
         assert_eq!(shard.front.schema().names(), ["area", "lat", "acc"]);
-        let mut legacy: LegacyFront = ParetoFront::new();
-        for record in shard.history.as_ref().expect("histories recorded") {
-            if let Some(metrics) = record.metrics {
-                legacy.insert(metrics, ());
-            }
-        }
+        let points: Vec<[f64; 3]> = shard
+            .history
+            .as_ref()
+            .expect("histories recorded")
+            .iter()
+            .filter_map(|record| record.metrics)
+            .collect();
         assert_eq!(
-            sorted_bits_legacy(&legacy),
+            sorted_bits(&brute_force_front(&points)),
             sorted_bits_dyn(&shard.front),
-            "shard {} ({} / {} / seed {}): dyn front diverged from the legacy re-extraction",
+            "shard {} ({} / {} / seed {}): dyn front diverged from the brute-force front",
             shard.spec.index,
             shard.spec.scenario_name(),
             shard.spec.strategy.name(),
             shard.spec.seed,
         );
-        let merged = &mut legacy_merged
+        visited
             .iter_mut()
             .find(|(name, _)| name == shard.spec.scenario_name())
             .expect("preset scenario")
-            .1;
-        merged.extend(legacy.into_vec());
+            .1
+            .extend(points);
     }
 
-    // Merged-front parity, including equal hypervolume. Both paths insert
-    // the same points in the same order, so the hypervolume sums are the
-    // same f64 operations — compared bit-for-bit, not approximately.
-    for (name, legacy) in &legacy_merged {
+    // Merged-front parity, including equal hypervolume, compared
+    // bit-for-bit, not approximately.
+    for (name, points) in &visited {
+        let reference_front = brute_force_front(points);
         let merged = report.merged_front(name);
         assert_eq!(
-            sorted_bits_legacy(legacy),
+            sorted_bits(&reference_front),
             sorted_bits_dyn(&merged),
             "merged front diverged for {name}",
         );
@@ -100,14 +110,13 @@ fn dyn_fronts_rederive_bitwise_under_the_legacy_const_generic_front() {
             .compile();
         let reference = compiled.hypervolume_reference();
         assert_eq!(reference.len(), 3);
-        let legacy_points: Vec<[f64; 3]> = legacy.iter().map(|(m, ())| *m).collect();
-        let legacy_hv = hypervolume_3d(&legacy_points, [reference[0], reference[1], reference[2]]);
+        let brute_hv = hypervolume_3d(&reference_front, [reference[0], reference[1], reference[2]]);
         let dyn_hv = merged.hypervolume(&reference);
-        assert!(legacy_hv > 0.0, "{name}: degenerate hypervolume");
+        assert!(brute_hv > 0.0, "{name}: degenerate hypervolume");
         assert_eq!(
-            legacy_hv.to_bits(),
+            brute_hv.to_bits(),
             dyn_hv.to_bits(),
-            "{name}: hypervolume diverged (legacy {legacy_hv}, dyn {dyn_hv})"
+            "{name}: hypervolume diverged (brute force {brute_hv}, dyn {dyn_hv})"
         );
     }
 }

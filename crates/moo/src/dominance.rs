@@ -10,11 +10,11 @@
 /// # Examples
 ///
 /// ```
-/// use codesign_moo::dominance::{Dominance, compare};
+/// use codesign_moo::dominance::{compare_dyn, Dominance};
 ///
-/// assert_eq!(compare(&[1.0, 2.0], &[0.5, 1.0]), Dominance::Dominates);
-/// assert_eq!(compare(&[1.0, 0.0], &[0.0, 1.0]), Dominance::Incomparable);
-/// assert_eq!(compare(&[1.0, 1.0], &[1.0, 1.0]), Dominance::Equal);
+/// assert_eq!(compare_dyn(&[1.0, 2.0], &[0.5, 1.0]), Dominance::Dominates);
+/// assert_eq!(compare_dyn(&[1.0, 0.0], &[0.0, 1.0]), Dominance::Incomparable);
+/// assert_eq!(compare_dyn(&[1.0, 1.0], &[1.0, 1.0]), Dominance::Equal);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Dominance {
@@ -28,82 +28,7 @@ pub enum Dominance {
     Incomparable,
 }
 
-/// Compares two metric vectors and classifies their dominance relation.
-///
-/// # Panics
-///
-/// Panics in debug builds if the vectors contain NaN (NaN has no dominance
-/// order; use [`crate::MooError::NanMetric`]-producing validation upstream).
-#[must_use]
-pub fn compare<const N: usize>(a: &[f64; N], b: &[f64; N]) -> Dominance {
-    debug_assert!(
-        a.iter().all(|v| !v.is_nan()),
-        "NaN metric in dominance comparison"
-    );
-    debug_assert!(
-        b.iter().all(|v| !v.is_nan()),
-        "NaN metric in dominance comparison"
-    );
-    let mut a_better = false;
-    let mut b_better = false;
-    for i in 0..N {
-        if a[i] > b[i] {
-            a_better = true;
-        } else if a[i] < b[i] {
-            b_better = true;
-        }
-        if a_better && b_better {
-            return Dominance::Incomparable;
-        }
-    }
-    match (a_better, b_better) {
-        (true, false) => Dominance::Dominates,
-        (false, true) => Dominance::DominatedBy,
-        (false, false) => Dominance::Equal,
-        (true, true) => unreachable!("early return above"),
-    }
-}
-
-/// Returns `true` when `a` strictly dominates `b`: at least as good everywhere
-/// and strictly better somewhere.
-///
-/// # Examples
-///
-/// ```
-/// use codesign_moo::dominates;
-///
-/// assert!(dominates(&[2.0, 3.0, 1.0], &[2.0, 2.0, 1.0]));
-/// assert!(!dominates(&[2.0, 2.0], &[2.0, 2.0])); // equal points do not dominate
-/// ```
-#[must_use]
-pub fn dominates<const N: usize>(a: &[f64; N], b: &[f64; N]) -> bool {
-    compare(a, b) == Dominance::Dominates
-}
-
-/// Returns `true` when `a` weakly dominates `b`: at least as good everywhere
-/// (equality allowed in all objectives).
-///
-/// Used by streaming filters where duplicate metric vectors must be collapsed.
-///
-/// # Examples
-///
-/// ```
-/// use codesign_moo::dominates_weak;
-///
-/// assert!(dominates_weak(&[2.0, 2.0], &[2.0, 2.0]));
-/// assert!(!dominates_weak(&[2.0, 1.0], &[1.0, 2.0]));
-/// ```
-#[must_use]
-pub fn dominates_weak<const N: usize>(a: &[f64; N], b: &[f64; N]) -> bool {
-    matches!(compare(a, b), Dominance::Dominates | Dominance::Equal)
-}
-
-/// [`compare`] with the dimension chosen at runtime: classifies the dominance
-/// relation of two equal-length metric slices.
-///
-/// The comparison loop is the same sequence of `f64` comparisons as the
-/// const-generic [`compare`], so the two can never disagree on points of the
-/// same dimension — the parity the scenario-native front stack is built on.
+/// Classifies the dominance relation of two equal-length metric slices.
 ///
 /// # Panics
 ///
@@ -151,7 +76,8 @@ pub fn compare_dyn(a: &[f64], b: &[f64]) -> Dominance {
     }
 }
 
-/// [`dominates`] over runtime-dimension slices.
+/// Returns `true` when `a` strictly dominates `b`: at least as good
+/// everywhere and strictly better somewhere.
 ///
 /// # Panics
 ///
@@ -162,19 +88,29 @@ pub fn compare_dyn(a: &[f64], b: &[f64]) -> Dominance {
 /// ```
 /// use codesign_moo::dominates_dyn;
 ///
-/// assert!(dominates_dyn(&[2.0, 3.0], &[2.0, 2.0]));
-/// assert!(!dominates_dyn(&[2.0, 2.0], &[2.0, 2.0]));
+/// assert!(dominates_dyn(&[2.0, 3.0, 1.0], &[2.0, 2.0, 1.0]));
+/// assert!(!dominates_dyn(&[2.0, 2.0], &[2.0, 2.0])); // equal points do not dominate
 /// ```
 #[must_use]
 pub fn dominates_dyn(a: &[f64], b: &[f64]) -> bool {
     compare_dyn(a, b) == Dominance::Dominates
 }
 
-/// [`dominates_weak`] over runtime-dimension slices.
+/// Returns `true` when `a` weakly dominates `b`: at least as good
+/// everywhere (equality allowed in all objectives).
 ///
 /// # Panics
 ///
 /// Panics if the slices differ in length.
+///
+/// # Examples
+///
+/// ```
+/// use codesign_moo::dominates_weak_dyn;
+///
+/// assert!(dominates_weak_dyn(&[2.0, 2.0], &[2.0, 2.0]));
+/// assert!(!dominates_weak_dyn(&[2.0, 1.0], &[1.0, 2.0]));
+/// ```
 #[must_use]
 pub fn dominates_weak_dyn(a: &[f64], b: &[f64]) -> bool {
     matches!(compare_dyn(a, b), Dominance::Dominates | Dominance::Equal)
@@ -264,59 +200,60 @@ mod tests {
 
     #[test]
     fn dominates_requires_strict_improvement_somewhere() {
-        assert!(dominates(&[1.0, 2.0], &[1.0, 1.0]));
-        assert!(!dominates(&[1.0, 1.0], &[1.0, 1.0]));
-        assert!(!dominates(&[1.0, 1.0], &[1.0, 2.0]));
+        assert!(dominates_dyn(&[1.0, 2.0], &[1.0, 1.0]));
+        assert!(!dominates_dyn(&[1.0, 1.0], &[1.0, 1.0]));
+        assert!(!dominates_dyn(&[1.0, 1.0], &[1.0, 2.0]));
+        // Weak dominance admits equality everywhere, but not a loss anywhere.
+        assert!(dominates_weak_dyn(&[1.0, 1.0], &[1.0, 1.0]));
+        assert!(dominates_weak_dyn(&[1.0, 2.0], &[1.0, 1.0]));
+        assert!(!dominates_weak_dyn(&[1.0, 1.0], &[1.0, 2.0]));
+        assert!(!dominates_weak_dyn(&[1.0, 0.0, 0.0], &[0.0, 1.0, 0.0]));
     }
 
     #[test]
     fn compare_is_antisymmetric() {
-        let a = [3.0, 1.0, 2.0];
-        let b = [2.0, 1.0, 1.0];
-        assert_eq!(compare(&a, &b), Dominance::Dominates);
-        assert_eq!(compare(&b, &a), Dominance::DominatedBy);
+        let pairs = [
+            ([3.0, 1.0, 2.0], [2.0, 1.0, 1.0]),
+            ([-5.0, 2.0, 0.6], [-5.0, 2.0, 0.5]),
+        ];
+        for (a, b) in pairs {
+            assert_eq!(compare_dyn(&a, &b), Dominance::Dominates);
+            assert_eq!(compare_dyn(&b, &a), Dominance::DominatedBy);
+        }
+        assert_eq!(
+            compare_dyn(&[1.0, 1.0, 1.0], &[1.0, 1.0, 1.0]),
+            Dominance::Equal
+        );
     }
 
     #[test]
     fn incomparable_points_in_both_directions() {
-        let a = [1.0, 0.0];
-        let b = [0.0, 1.0];
-        assert_eq!(compare(&a, &b), Dominance::Incomparable);
-        assert_eq!(compare(&b, &a), Dominance::Incomparable);
+        for (a, b) in [
+            (vec![1.0, 0.0], vec![0.0, 1.0]),
+            (vec![1.0, 0.0, 0.0], vec![0.0, 1.0, 0.0]),
+        ] {
+            assert_eq!(compare_dyn(&a, &b), Dominance::Incomparable);
+            assert_eq!(compare_dyn(&b, &a), Dominance::Incomparable);
+        }
     }
 
     #[test]
     fn single_objective_reduces_to_total_order() {
-        assert_eq!(compare(&[2.0], &[1.0]), Dominance::Dominates);
-        assert_eq!(compare(&[1.0], &[2.0]), Dominance::DominatedBy);
-        assert_eq!(compare(&[1.0], &[1.0]), Dominance::Equal);
+        assert_eq!(compare_dyn(&[2.0], &[1.0]), Dominance::Dominates);
+        assert_eq!(compare_dyn(&[1.0], &[2.0]), Dominance::DominatedBy);
+        assert_eq!(compare_dyn(&[1.0], &[1.0]), Dominance::Equal);
     }
 
     #[test]
     fn negated_metrics_express_minimization() {
         // area 100 < area 200 is better; negated: -100 > -200.
-        assert!(dominates(&[-100.0, 0.9], &[-200.0, 0.9]));
+        assert!(dominates_dyn(&[-100.0, 0.9], &[-200.0, 0.9]));
     }
 
     #[test]
     fn infinities_are_ordered() {
-        assert!(dominates(&[f64::INFINITY, 0.0], &[0.0, 0.0]));
-        assert!(dominates(&[0.0, 0.0], &[f64::NEG_INFINITY, 0.0]));
-    }
-
-    #[test]
-    fn dyn_compare_agrees_with_const_generic() {
-        let pairs = [
-            ([3.0, 1.0, 2.0], [2.0, 1.0, 1.0]),
-            ([1.0, 0.0, 0.0], [0.0, 1.0, 0.0]),
-            ([1.0, 1.0, 1.0], [1.0, 1.0, 1.0]),
-            ([-5.0, 2.0, 0.5], [-5.0, 2.0, 0.6]),
-        ];
-        for (a, b) in pairs {
-            assert_eq!(compare(&a, &b), compare_dyn(&a, &b));
-            assert_eq!(dominates(&a, &b), dominates_dyn(&a, &b));
-            assert_eq!(dominates_weak(&a, &b), dominates_weak_dyn(&a, &b));
-        }
+        assert!(dominates_dyn(&[f64::INFINITY, 0.0], &[0.0, 0.0]));
+        assert!(dominates_dyn(&[0.0, 0.0], &[f64::NEG_INFINITY, 0.0]));
     }
 
     #[test]
@@ -357,6 +294,6 @@ mod tests {
         ];
         let ranks = rank_dyn(&pts);
         let rank0: Vec<usize> = (0..pts.len()).filter(|&i| ranks[i] == 0).collect();
-        assert_eq!(rank0, crate::pareto::pareto_indices(&pts));
+        assert_eq!(rank0, crate::pareto::pareto_indices_dyn(&pts));
     }
 }

@@ -1,11 +1,10 @@
 //! Runtime-dimension Pareto fronts with named axes.
 //!
-//! The const-generic [`crate::ParetoFront`] fixes the objective count at
-//! compile time — the right tool for the paper's `(−area, −lat, acc)` triple,
-//! and retained as the parity anchor for it. Declarative scenarios choose an
-//! arbitrary set of named metrics at *runtime*, so everything downstream of a
-//! scenario (search fronts, campaign reports, exports) needs the dimension —
-//! and the axis labels — to be data. This module provides that stack:
+//! Declarative scenarios choose an arbitrary set of named metrics at
+//! *runtime* — the paper's `(−area, −lat, acc)` triple is just one of them —
+//! so everything downstream of a scenario (search fronts, campaign reports,
+//! exports) needs the dimension — and the axis labels — to be data. This
+//! module provides that stack:
 //!
 //! * [`AxisSchema`] — an `Arc`-shared, ordered list of axis names. Cloning a
 //!   schema is a refcount bump; every front of one scenario shares one
@@ -13,13 +12,11 @@
 //! * [`MetricVector`] — a small-vec-style point: up to
 //!   [`MetricVector::INLINE_DIMS`] values live inline (no heap allocation for
 //!   any registry-sized scenario), larger vectors spill to a `Vec`.
-//! * [`DynParetoFront`] — the runtime-dimension [`crate::ParetoFront`]:
-//!   incremental insertion with dominated-member eviction, bit-identical
-//!   membership to the const-generic front at equal dimension (the insertion
-//!   loop performs the same comparisons in the same order).
-//! * [`DynStreamingParetoFilter`] — the runtime-dimension
-//!   [`crate::StreamingParetoFilter`]: bounded-memory exact filtering for
-//!   enumeration-scale streams, in whatever axes the scenario declares.
+//! * [`DynParetoFront`] — an incremental front: insertion with
+//!   dominated-member eviction, duplicate metric vectors retained.
+//! * [`DynStreamingParetoFilter`] — bounded-memory exact filtering for
+//!   enumeration-scale streams (the Fig. 4 codesign space), in whatever axes
+//!   the scenario declares.
 //!
 //! All points use the all-maximize convention of the rest of the crate.
 //!
@@ -264,10 +261,10 @@ impl FromIterator<f64> for MetricVector {
 /// An incrementally-maintained Pareto front whose dimension — and axis
 /// names — are chosen at runtime.
 ///
-/// The runtime-dimension counterpart of [`crate::ParetoFront`]: insertion
-/// performs the same dominance comparisons in the same order, so at equal
-/// dimension the two fronts retain exactly the same member set (the
-/// engine's parity test proves this bit-for-bit on recorded campaigns).
+/// Search loops push every evaluated `(metrics, payload)` pair; the front
+/// keeps only non-dominated entries. Insertion is linear in the current
+/// front size, which stays small in practice (the paper's full-space front
+/// has 3,096 members).
 ///
 /// # Examples
 ///
@@ -306,8 +303,8 @@ impl<T> DynParetoFront<T> {
 
     /// Attempts to insert a point. Returns `true` if the point joined the
     /// front (it was not dominated by any current member); dominated
-    /// members are evicted. Duplicate metric vectors are retained, exactly
-    /// like the const-generic front.
+    /// members are evicted. Duplicate metric vectors are retained: distinct
+    /// pairs that tie in every objective are equally optimal.
     ///
     /// # Panics
     ///
@@ -520,8 +517,7 @@ impl<T> Extend<(MetricVector, T)> for DynParetoFront<T> {
 }
 
 /// A bounded-memory exact Pareto filter whose dimension is chosen at
-/// runtime — the [`crate::StreamingParetoFilter`] of the scenario-native
-/// stack.
+/// runtime, for streams far larger than RAM.
 ///
 /// Points accumulate in a buffer; when the buffer exceeds its capacity it
 /// is compacted with the runtime-dimension batch filter (which itself
@@ -729,8 +725,8 @@ pub fn crowding_distance_dyn<P: AsRef<[f64]>>(points: &[P]) -> Vec<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pareto::pareto_indices;
-    use crate::ParetoFront;
+    use crate::pareto::pareto_indices_dyn;
+    use crate::pareto::tests::brute_force;
 
     #[test]
     fn schema_equality_and_lookup() {
@@ -758,31 +754,6 @@ mod tests {
             small.to_bits(),
             vec![1.0f64.to_bits(), 2.0f64.to_bits(), 3.0f64.to_bits()]
         );
-    }
-
-    #[test]
-    fn dyn_front_matches_const_generic_membership() {
-        let points: Vec<[f64; 3]> = vec![
-            [3.0, 1.0, 2.0],
-            [1.0, 3.0, 2.0],
-            [2.0, 2.0, 2.0],
-            [1.0, 1.0, 1.0],
-            [3.0, 1.0, 2.0], // duplicate: retained by both
-            [0.0, 0.0, 5.0],
-        ];
-        let mut fixed: ParetoFront<3, usize> = ParetoFront::new();
-        let mut dynamic: DynParetoFront<usize> =
-            DynParetoFront::new(AxisSchema::new(["a", "b", "c"]));
-        for (i, p) in points.iter().enumerate() {
-            assert_eq!(fixed.insert(*p, i), dynamic.insert((*p).into(), i));
-        }
-        let mut a: Vec<usize> = fixed.iter().map(|(_, i)| *i).collect();
-        let mut b: Vec<usize> = dynamic.iter().map(|(_, i)| *i).collect();
-        a.sort_unstable();
-        b.sort_unstable();
-        assert_eq!(a, b);
-        assert!(dynamic.would_reject(&[0.5, 0.5, 0.5]));
-        assert!(!dynamic.would_reject(&[9.0, 0.0, 0.0]));
     }
 
     #[test]
@@ -815,7 +786,7 @@ mod tests {
         }
         a.merge(b);
         let all: Vec<[f64; 2]> = pts_a.iter().chain(pts_b.iter()).copied().collect();
-        let expected = pareto_indices(&all).len();
+        let expected = pareto_indices_dyn(&all).len();
         assert_eq!(a.len(), expected);
     }
 
@@ -835,7 +806,7 @@ mod tests {
         }
         let mut got: Vec<usize> = filter.finish().into_iter().map(|(_, i)| i).collect();
         got.sort_unstable();
-        assert_eq!(got, pareto_indices(&pts));
+        assert_eq!(got, brute_force(&pts));
     }
 
     #[test]

@@ -114,7 +114,7 @@ pub fn hypervolume_3d(points: &[[f64; 3]], reference: [f64; 3]) -> f64 {
 /// let pts = vec![vec![1.0, 2.0], vec![2.0, 1.0]];
 /// assert!((hypervolume_dyn(&pts, &[0.0, 0.0]) - 3.0).abs() < 1e-12);
 ///
-/// // Bit-identical to the const-generic path at three objectives:
+/// // Bit-identical to the 3-D kernel at three objectives:
 /// let triple = [[-120.0, -40.0, 0.93], [-60.0, -200.0, 0.91]];
 /// let dyn_pts: Vec<&[f64]> = triple.iter().map(|p| p.as_slice()).collect();
 /// let reference = [-250.0, -500.0, 0.5];

@@ -1,12 +1,10 @@
 //! Property-based tests for the multi-objective primitives.
 
-use codesign_moo::dominance::{compare, Dominance};
-use codesign_moo::pareto::{
-    pareto_indices, pareto_indices_3d, pareto_indices_dyn, StreamingParetoFilter,
-};
+use codesign_moo::dominance::{compare_dyn, Dominance};
+use codesign_moo::pareto::{pareto_indices_3d, pareto_indices_dyn};
 use codesign_moo::{
-    crowding_distance_dyn, dominates, dominates_dyn, hypervolume_3d, hypervolume_dyn, rank_dyn,
-    AxisSchema, DynParetoFront, IncrementalHypervolume, LinearNorm, ParetoFront, RewardSpec,
+    crowding_distance_dyn, dominates_dyn, hypervolume_3d, hypervolume_dyn, rank_dyn, AxisSchema,
+    DynParetoFront, DynRewardSpec, DynStreamingParetoFilter, IncrementalHypervolume, LinearNorm,
 };
 use proptest::prelude::*;
 
@@ -28,14 +26,18 @@ fn point4() -> impl Strategy<Value = [f64; 4]> {
 }
 
 /// A point in the paper-triple value ranges (signed `(−area, −lat, acc)`),
-/// the regime the dyn/const hypervolume parity must hold bitwise in.
+/// the regime the dyn/3-D hypervolume parity must hold bitwise in.
 fn paper_point() -> impl Strategy<Value = [f64; 3]> {
     [-215.0f64..-45.0, -400.0f64..-5.0, 0.80f64..0.95]
 }
 
-fn brute_force(points: &[[f64; 3]]) -> Vec<usize> {
+/// Brute-force front oracle: every point no other point dominates
+/// (`O(n²)`, any dimension).
+fn brute_force<P: AsRef<[f64]>>(points: &[P]) -> Vec<usize> {
     (0..points.len())
-        .filter(|&i| !(0..points.len()).any(|j| dominates(&points[j], &points[i])))
+        .filter(|&i| {
+            !(0..points.len()).any(|j| dominates_dyn(points[j].as_ref(), points[i].as_ref()))
+        })
         .collect()
 }
 
@@ -104,18 +106,26 @@ proptest! {
     #[test]
     fn sweep_equals_brute_force(pts in prop::collection::vec(point3(), 0..120)) {
         prop_assert_eq!(pareto_indices_3d(&pts), brute_force(&pts));
+        // Three-axis points reach the sweep through the dyn entry point.
+        prop_assert_eq!(pareto_indices_dyn(&pts), brute_force(&pts));
     }
 
+    // The generic filter at every other dimension scenarios use.
     #[test]
-    fn generic_filter_equals_brute_force(pts in prop::collection::vec(point3(), 0..120)) {
-        prop_assert_eq!(pareto_indices(&pts), brute_force(&pts));
+    fn generic_filter_equals_brute_force(
+        pts2 in prop::collection::vec(point2(), 0..120),
+        pts4 in prop::collection::vec(point4(), 0..120),
+    ) {
+        prop_assert_eq!(pareto_indices_dyn(&pts2), brute_force(&pts2));
+        prop_assert_eq!(pareto_indices_dyn(&pts4), brute_force(&pts4));
     }
 
     #[test]
     fn streaming_filter_is_exact(pts in prop::collection::vec(point3(), 0..200)) {
-        let mut filter: StreamingParetoFilter<3, usize> = StreamingParetoFilter::with_capacity(7);
+        let mut filter: DynStreamingParetoFilter<usize> =
+            DynStreamingParetoFilter::with_capacity(AxisSchema::new(["a", "b", "c"]), 7);
         for (i, p) in pts.iter().enumerate() {
-            filter.push(*p, i);
+            filter.push((*p).into(), i);
         }
         let mut got: Vec<usize> = filter.finish().into_iter().map(|(_, i)| i).collect();
         got.sort_unstable();
@@ -124,9 +134,12 @@ proptest! {
 
     #[test]
     fn incremental_front_matches_batch(pts in prop::collection::vec(point3(), 0..120)) {
-        let mut front: ParetoFront<3, usize> = ParetoFront::new();
+        let mut front: DynParetoFront<usize> =
+            DynParetoFront::new(AxisSchema::new(["area", "lat", "acc"]));
         for (i, p) in pts.iter().enumerate() {
-            front.insert(*p, i);
+            // A point is rejected exactly when an earlier point dominates it.
+            let dominated = pts[..i].iter().any(|q| dominates_dyn(q, p));
+            prop_assert_eq!(front.insert((*p).into(), i), !dominated);
         }
         let mut got: Vec<usize> = front.iter().map(|(_, i)| *i).collect();
         got.sort_unstable();
@@ -135,8 +148,8 @@ proptest! {
 
     #[test]
     fn dominance_is_antisymmetric(a in point3(), b in point3()) {
-        let fwd = compare(&a, &b);
-        let bwd = compare(&b, &a);
+        let fwd = compare_dyn(&a, &b);
+        let bwd = compare_dyn(&b, &a);
         let expected = match fwd {
             Dominance::Dominates => Dominance::DominatedBy,
             Dominance::DominatedBy => Dominance::Dominates,
@@ -148,8 +161,8 @@ proptest! {
 
     #[test]
     fn dominance_is_transitive(a in point3(), b in point3(), c in point3()) {
-        if dominates(&a, &b) && dominates(&b, &c) {
-            prop_assert!(dominates(&a, &c));
+        if dominates_dyn(&a, &b) && dominates_dyn(&b, &c) {
+            prop_assert!(dominates_dyn(&a, &c));
         }
     }
 
@@ -172,9 +185,9 @@ proptest! {
         bump in 0.0f64..0.5,
         axis in 0usize..3,
     ) {
-        let spec = RewardSpec::builder()
-            .weights([0.1, 0.8, 0.1]).unwrap()
-            .norms([LinearNorm::unit(), LinearNorm::unit(), LinearNorm::unit()])
+        let spec = DynRewardSpec::builder()
+            .weights(vec![0.1, 0.8, 0.1]).unwrap()
+            .norms(vec![LinearNorm::unit(); 3])
             .build().unwrap();
         let mut better = m;
         better[axis] += bump;
@@ -191,39 +204,6 @@ proptest! {
         let mut more = pts.clone();
         more.push(extra);
         prop_assert!(hypervolume_3d(&more, reference) >= base - 1e-9);
-    }
-
-    // Satellite coverage: the runtime-dimension filter agrees with the
-    // const-generic implementation at every dimension scenarios use.
-    #[test]
-    fn dyn_indices_equal_const_generic_2d(pts in prop::collection::vec(point2(), 0..120)) {
-        prop_assert_eq!(pareto_indices_dyn(&pts), pareto_indices(&pts));
-    }
-
-    #[test]
-    fn dyn_indices_equal_const_generic_3d(pts in prop::collection::vec(point3(), 0..120)) {
-        // dims == 3 takes the automatic staircase fast path.
-        prop_assert_eq!(pareto_indices_dyn(&pts), pareto_indices(&pts));
-    }
-
-    #[test]
-    fn dyn_indices_equal_const_generic_4d(pts in prop::collection::vec(point4(), 0..120)) {
-        prop_assert_eq!(pareto_indices_dyn(&pts), pareto_indices(&pts));
-    }
-
-    #[test]
-    fn dyn_front_membership_equals_const_generic(pts in prop::collection::vec(point3(), 0..120)) {
-        let mut fixed: ParetoFront<3, usize> = ParetoFront::new();
-        let mut dynamic: DynParetoFront<usize> =
-            DynParetoFront::new(AxisSchema::new(["area", "lat", "acc"]));
-        for (i, p) in pts.iter().enumerate() {
-            prop_assert_eq!(fixed.insert(*p, i), dynamic.insert((*p).into(), i));
-        }
-        let mut a: Vec<usize> = fixed.iter().map(|(_, i)| *i).collect();
-        let mut b: Vec<usize> = dynamic.iter().map(|(_, i)| *i).collect();
-        a.sort_unstable();
-        b.sort_unstable();
-        prop_assert_eq!(a, b);
     }
 
     #[test]

@@ -7,7 +7,7 @@ use codesign_nas::core::{
     enumerate_codesign_space, CodesignSpace, CombinedSearch, Evaluator, RandomSearch, ScenarioSpec,
     SearchConfig, SearchContext, SearchStrategy,
 };
-use codesign_nas::moo::dominates;
+use codesign_nas::moo::dominates_dyn;
 use codesign_nas::nasbench::{Dataset, NasbenchDatabase};
 
 /// The exact Pareto front must dominate (or tie) every point any search
@@ -34,8 +34,8 @@ fn search_never_beats_the_exact_front() {
         let outcome = strategy.run(&mut ctx, &SearchConfig::quick(300, seed));
         for record in &outcome.history {
             let Some(m) = record.metrics else { continue };
-            let beats_front = front.iter().all(|f| m != *f && !dominates(f, &m))
-                && front.iter().any(|f| dominates(&m, f));
+            let beats_front = front.iter().all(|f| m != *f && !dominates_dyn(f, &m))
+                && front.iter().any(|f| dominates_dyn(&m, f));
             assert!(
                 !beats_front,
                 "{}: visited point {m:?} dominates the exact front",
