@@ -1,10 +1,22 @@
-//! Minimal dense linear algebra for the controller.
+//! Minimal dense linear algebra for the controller and the surrogate
+//! regressor.
 //!
-//! The policy network is tiny (one LSTM cell + one linear head, hidden size
-//! ≈ 64), so a straightforward row-major `Vec<f64>` matrix with unblocked
-//! kernels is faster than any external dependency would be worth.
+//! The networks are tiny (one LSTM cell + one linear head, hidden size
+//! ≈ 64), so a row-major `Vec<f64>` matrix with hand-written kernels is
+//! faster than any external dependency would be worth. The `_into` kernels
+//! write into caller-owned buffers, so hot loops allocate nothing.
+//!
+//! Every kernel keeps one fixed summation order: a dot product runs from
+//! 0.0 over its index in ascending order, and an accumulated entry takes its
+//! terms in call order. Loop forms and blocking vary only across
+//! independent outputs, never within one sum, so results are bit-identical
+//! whichever form a kernel picks for a shape.
 
 use rand::Rng;
+
+/// Output columns the blocked kernels ([`Matrix::matvec_transpose_into`],
+/// [`Matrix::add_outers`]) keep in registers at once.
+const COL_BLOCK: usize = 16;
 
 /// A row-major dense matrix.
 ///
@@ -130,18 +142,27 @@ impl Matrix {
     /// Panics when `x.len() != cols`.
     #[must_use]
     pub fn matvec(&self, x: &[f64]) -> Vec<f64> {
-        assert_eq!(x.len(), self.cols, "matvec dimension mismatch");
         let mut y = vec![0.0; self.rows];
-        #[allow(clippy::needless_range_loop)]
-        for r in 0..self.rows {
-            let row = self.row(r);
+        self.matvec_into(x, &mut y);
+        y
+    }
+
+    /// `y = A·x` into a caller-owned `y`. Each entry is one dot product
+    /// summed from 0.0 over the columns in ascending order.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `x.len() != cols` or `y.len() != rows`.
+    pub fn matvec_into(&self, x: &[f64], y: &mut [f64]) {
+        assert_eq!(x.len(), self.cols, "matvec dimension mismatch");
+        assert_eq!(y.len(), self.rows, "matvec output dimension mismatch");
+        for (yr, row) in y.iter_mut().zip(self.data.chunks_exact(self.cols)) {
             let mut acc = 0.0;
-            for (a, b) in row.iter().zip(x.iter()) {
+            for (a, b) in row.iter().zip(x) {
                 acc += a * b;
             }
-            y[r] = acc;
+            *yr = acc;
         }
-        y
     }
 
     /// `y = Aᵀ·x`.
@@ -151,17 +172,53 @@ impl Matrix {
     /// Panics when `x.len() != rows`.
     #[must_use]
     pub fn matvec_transpose(&self, x: &[f64]) -> Vec<f64> {
-        assert_eq!(x.len(), self.rows, "matvec_transpose dimension mismatch");
         let mut y = vec![0.0; self.cols];
-        #[allow(clippy::needless_range_loop)]
-        for r in 0..self.rows {
-            let row = self.row(r);
-            let xr = x[r];
-            for (yc, a) in y.iter_mut().zip(row.iter()) {
+        self.matvec_transpose_into(x, &mut y);
+        y
+    }
+
+    /// `y = Aᵀ·x` into a caller-owned `y`. Entry `c` is summed from 0.0
+    /// over the rows in ascending order.
+    ///
+    /// Matrices of 16 rows or more keep 16 outputs in registers while they
+    /// stream the rows; short ones update `y` row by row. Both forms add the
+    /// same terms in the same order.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `x.len() != rows` or `y.len() != cols`.
+    pub fn matvec_transpose_into(&self, x: &[f64], y: &mut [f64]) {
+        assert_eq!(x.len(), self.rows, "matvec_transpose dimension mismatch");
+        assert_eq!(
+            y.len(),
+            self.cols,
+            "matvec_transpose output dimension mismatch"
+        );
+        let rows = self.data.chunks_exact(self.cols);
+        let blocked = if self.rows >= COL_BLOCK {
+            self.cols - self.cols % COL_BLOCK
+        } else {
+            0
+        };
+        for c0 in (0..blocked).step_by(COL_BLOCK) {
+            let mut acc = [0.0; COL_BLOCK];
+            for (row, &xr) in rows.clone().zip(x) {
+                let a: &[f64; COL_BLOCK] = row[c0..c0 + COL_BLOCK]
+                    .try_into()
+                    .expect("block lies inside the row");
+                for (s, v) in acc.iter_mut().zip(a) {
+                    *s += v * xr;
+                }
+            }
+            y[c0..c0 + COL_BLOCK].copy_from_slice(&acc);
+        }
+        let tail = &mut y[blocked..];
+        tail.fill(0.0);
+        for (row, &xr) in rows.zip(x) {
+            for (yc, a) in tail.iter_mut().zip(&row[blocked..]) {
                 *yc += a * xr;
             }
         }
-        y
     }
 
     /// Rank-1 accumulation `A += col · rowᵀ` (gradient of `A·x` products).
@@ -172,12 +229,52 @@ impl Matrix {
     pub fn add_outer(&mut self, col: &[f64], row: &[f64]) {
         assert_eq!(col.len(), self.rows, "add_outer row count mismatch");
         assert_eq!(row.len(), self.cols, "add_outer col count mismatch");
-        #[allow(clippy::needless_range_loop)]
-        for r in 0..self.rows {
-            let cr = col[r];
-            let dst = self.row_mut(r);
-            for (d, x) in dst.iter_mut().zip(row.iter()) {
+        for (dst, &cr) in self.data.chunks_exact_mut(self.cols).zip(col) {
+            for (d, x) in dst.iter_mut().zip(row) {
                 *d += cr * x;
+            }
+        }
+    }
+
+    /// Sum of rank-1 updates `A += Σₛ colₛ · rowₛᵀ`, where `colₛ` is row `s`
+    /// of the row-major `cols` (`n × rows`) and `rowₛ` row `s` of `rows`
+    /// (`n × cols`). Every entry receives its terms in the order `steps`
+    /// yields them, exactly as a sequence of [`Matrix::add_outer`] calls
+    /// would add them, but each row of `A` is finished before the next.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `cols` or `rows` is not a whole number of rows, or a
+    /// step is out of range.
+    pub fn add_outers<I>(&mut self, cols: &[f64], rows: &[f64], steps: I)
+    where
+        I: Iterator<Item = usize> + Clone,
+    {
+        assert_eq!(cols.len() % self.rows, 0, "add_outers column-set shape");
+        assert_eq!(rows.len() % self.cols, 0, "add_outers row-set shape");
+        let (nr, nc) = (self.rows, self.cols);
+        let blocked = nc - nc % COL_BLOCK;
+        for (r, dst) in self.data.chunks_exact_mut(nc).enumerate() {
+            for c0 in (0..blocked).step_by(COL_BLOCK) {
+                let acc: &mut [f64; COL_BLOCK] = (&mut dst[c0..c0 + COL_BLOCK])
+                    .try_into()
+                    .expect("block lies inside the row");
+                let mut regs = *acc;
+                for s in steps.clone() {
+                    let cr = cols[s * nr + r];
+                    let src = &rows[s * nc + c0..s * nc + c0 + COL_BLOCK];
+                    for (d, x) in regs.iter_mut().zip(src) {
+                        *d += cr * x;
+                    }
+                }
+                *acc = regs;
+            }
+            let tail = &mut dst[blocked..];
+            for s in steps.clone() {
+                let cr = cols[s * nr + r];
+                for (d, x) in tail.iter_mut().zip(&rows[s * nc + blocked..(s + 1) * nc]) {
+                    *d += cr * x;
+                }
             }
         }
     }
@@ -217,10 +314,22 @@ impl Matrix {
 /// ```
 #[must_use]
 pub fn masked_softmax(logits: &[f64], mask: &[bool]) -> Vec<f64> {
-    assert_eq!(logits.len(), mask.len(), "mask length mismatch");
-    let max = logits
+    let mut out = logits.to_vec();
+    masked_softmax_in_place(&mut out, mask);
+    out
+}
+
+/// [`masked_softmax`] over `values` in place: on return `values` holds the
+/// probabilities.
+///
+/// # Panics
+///
+/// Panics when no entry is unmasked or lengths differ.
+pub fn masked_softmax_in_place(values: &mut [f64], mask: &[bool]) {
+    assert_eq!(values.len(), mask.len(), "mask length mismatch");
+    let max = values
         .iter()
-        .zip(mask.iter())
+        .zip(mask)
         .filter(|(_, &m)| m)
         .map(|(&l, _)| l)
         .fold(f64::NEG_INFINITY, f64::max);
@@ -228,19 +337,18 @@ pub fn masked_softmax(logits: &[f64], mask: &[bool]) -> Vec<f64> {
         max.is_finite(),
         "softmax needs at least one unmasked finite logit"
     );
-    let mut out = vec![0.0; logits.len()];
     let mut denom = 0.0;
-    for i in 0..logits.len() {
-        if mask[i] {
-            let e = (logits[i] - max).exp();
-            out[i] = e;
-            denom += e;
+    for (v, &m) in values.iter_mut().zip(mask) {
+        if m {
+            *v = (*v - max).exp();
+            denom += *v;
+        } else {
+            *v = 0.0;
         }
     }
-    for v in &mut out {
+    for v in values.iter_mut() {
         *v /= denom;
     }
-    out
 }
 
 /// Shannon entropy of a (partially zero) probability vector, in nats.

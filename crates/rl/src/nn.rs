@@ -37,27 +37,33 @@ impl Linear {
     /// Forward pass.
     #[must_use]
     pub fn forward(&self, x: &[f64]) -> Vec<f64> {
-        let mut y = self.w.matvec(x);
-        for (yi, bi) in y.iter_mut().zip(self.b.iter()) {
-            *yi += bi;
-        }
+        let mut y = vec![0.0; self.b.len()];
+        self.forward_into(x, &mut y);
         y
     }
 
-    /// Accumulates gradients for one sample and returns `dL/dx`.
-    #[must_use]
-    pub fn backward(&mut self, x: &[f64], dy: &[f64]) -> Vec<f64> {
+    /// Forward pass into a caller-owned `y`.
+    pub fn forward_into(&self, x: &[f64], y: &mut [f64]) {
+        self.w.matvec_into(x, y);
+        for (yi, bi) in y.iter_mut().zip(&self.b) {
+            *yi += bi;
+        }
+    }
+
+    /// Accumulates the weight and bias gradients of one sample with output
+    /// gradient `dy`. The input gradient, when a caller needs it, is
+    /// `w.matvec_transpose_into(dy, dx)`.
+    pub fn accumulate(&mut self, x: &[f64], dy: &[f64]) {
         self.dw.add_outer(dy, x);
-        for (g, d) in self.db.iter_mut().zip(dy.iter()) {
+        for (g, d) in self.db.iter_mut().zip(dy) {
             *g += d;
         }
-        self.w.matvec_transpose(dy)
     }
 
     /// Clears gradient accumulators.
     pub fn zero_grad(&mut self) {
         self.dw.fill_zero();
-        self.db.iter_mut().for_each(|v| *v = 0.0);
+        self.db.fill(0.0);
     }
 }
 
@@ -82,13 +88,13 @@ impl Embedding {
 
     /// The embedding vector of `id`.
     #[must_use]
-    pub fn forward(&self, id: usize) -> Vec<f64> {
-        self.table.row(id).to_vec()
+    pub fn forward(&self, id: usize) -> &[f64] {
+        self.table.row(id)
     }
 
     /// Accumulates the gradient flowing into `id`'s row.
     pub fn backward(&mut self, id: usize, dvec: &[f64]) {
-        for (g, d) in self.dtable.row_mut(id).iter_mut().zip(dvec.iter()) {
+        for (g, d) in self.dtable.row_mut(id).iter_mut().zip(dvec) {
             *g += d;
         }
     }
@@ -99,32 +105,11 @@ impl Embedding {
     }
 }
 
-/// Everything the LSTM backward pass needs from one forward step.
-#[derive(Debug, Clone, PartialEq)]
-pub struct LstmCache {
-    /// Input vector.
-    pub x: Vec<f64>,
-    /// Previous hidden state.
-    pub h_prev: Vec<f64>,
-    /// Previous cell state.
-    pub c_prev: Vec<f64>,
-    /// Input gate activations.
-    pub i: Vec<f64>,
-    /// Forget gate activations.
-    pub f: Vec<f64>,
-    /// Candidate activations (tanh).
-    pub g: Vec<f64>,
-    /// Output gate activations.
-    pub o: Vec<f64>,
-    /// New cell state.
-    pub c: Vec<f64>,
-    /// New hidden state.
-    pub h: Vec<f64>,
-}
-
 /// A single LSTM cell with gradient accumulators.
 ///
-/// Gate layout in the stacked weight matrices is `[i, f, g, o]`.
+/// Gate layout in the stacked weight matrices is `[i, f, g, o]`. One step
+/// records `5·hidden` values for its backward pass: the `[i, f, g, o]` gate
+/// activations followed by `tanh(c)`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LstmCell {
     /// Input weights, `4H × I`.
@@ -133,7 +118,7 @@ pub struct LstmCell {
     pub wh: Matrix,
     /// Bias, `4H` (forget-gate chunk initialized to 1 for gradient flow).
     pub b: Vec<f64>,
-    /// Gradients.
+    /// Input weight gradients.
     pub dwx: Matrix,
     /// Recurrent weight gradients.
     pub dwh: Matrix,
@@ -148,9 +133,7 @@ impl LstmCell {
     pub fn new<R: Rng + ?Sized>(inputs: usize, hidden: usize, rng: &mut R) -> Self {
         let mut b = vec![0.0; 4 * hidden];
         // Standard trick: forget-gate bias starts at 1.
-        for v in &mut b[hidden..2 * hidden] {
-            *v = 1.0;
-        }
+        b[hidden..2 * hidden].fill(1.0);
         Self {
             wx: Matrix::xavier(4 * hidden, inputs, rng),
             wh: Matrix::xavier(4 * hidden, hidden, rng),
@@ -168,84 +151,115 @@ impl LstmCell {
         self.hidden
     }
 
-    /// One step: returns the cache holding `(h, c)` and gate activations.
+    /// Length of one step's record: `5·hidden`.
     #[must_use]
-    pub fn forward(&self, x: &[f64], h_prev: &[f64], c_prev: &[f64]) -> LstmCache {
+    pub fn record_len(&self) -> usize {
+        5 * self.hidden
+    }
+
+    /// One step. On entry `h` and `c` hold the previous state; on return
+    /// the new one. The step's gate activations and `tanh(c)` go to
+    /// `record` (`5·hidden`); `zh` is `4·hidden` of scratch.
+    ///
+    /// # Panics
+    ///
+    /// Panics on dimension mismatch.
+    pub fn forward_into(
+        &self,
+        x: &[f64],
+        h: &mut [f64],
+        c: &mut [f64],
+        record: &mut [f64],
+        zh: &mut [f64],
+    ) {
         let hsz = self.hidden;
-        let mut z = self.wx.matvec(x);
-        let zh = self.wh.matvec(h_prev);
-        for (a, (b, c)) in z.iter_mut().zip(zh.iter().zip(self.b.iter())) {
+        assert_eq!(record.len(), 5 * hsz, "LSTM record length");
+        let (z, tanh_c) = record.split_at_mut(4 * hsz);
+        self.wx.matvec_into(x, z);
+        self.wh.matvec_into(h, zh);
+        for ((a, b), c) in z.iter_mut().zip(zh.iter()).zip(&self.b) {
             *a += b + c;
         }
-        let mut i = vec![0.0; hsz];
-        let mut f = vec![0.0; hsz];
-        let mut g = vec![0.0; hsz];
-        let mut o = vec![0.0; hsz];
+        let (i, rest) = z.split_at_mut(hsz);
+        let (f, rest) = rest.split_at_mut(hsz);
+        let (g, o) = rest.split_at_mut(hsz);
         for k in 0..hsz {
-            i[k] = sigmoid(z[k]);
-            f[k] = sigmoid(z[hsz + k]);
-            g[k] = z[2 * hsz + k].tanh();
-            o[k] = sigmoid(z[3 * hsz + k]);
-        }
-        let mut c = vec![0.0; hsz];
-        let mut h = vec![0.0; hsz];
-        for k in 0..hsz {
-            c[k] = f[k] * c_prev[k] + i[k] * g[k];
-            h[k] = o[k] * c[k].tanh();
-        }
-        LstmCache {
-            x: x.to_vec(),
-            h_prev: h_prev.to_vec(),
-            c_prev: c_prev.to_vec(),
-            i,
-            f,
-            g,
-            o,
-            c,
-            h,
+            i[k] = sigmoid(i[k]);
+            f[k] = sigmoid(f[k]);
+            g[k] = g[k].tanh();
+            o[k] = sigmoid(o[k]);
+            c[k] = f[k] * c[k] + i[k] * g[k];
+            tanh_c[k] = c[k].tanh();
+            h[k] = o[k] * tanh_c[k];
         }
     }
 
-    /// Backward through one step. `dh`/`dc` are the gradients flowing into
-    /// this step's outputs; returns `(dx, dh_prev, dc_prev)`.
-    #[must_use]
-    pub fn backward(
-        &mut self,
-        cache: &LstmCache,
+    /// Backward through one step's gates. `dh` is the gradient flowing
+    /// into the step's `h`; `dc` holds the gradient into its `c` on entry
+    /// and the gradient into `c_prev` on return. Writes the gate
+    /// pre-activation gradient to `dz` (`4·hidden`), which
+    /// [`LstmCell::accumulate_steps`] turns into weight gradients and
+    /// `wxᵀ·dz` / `whᵀ·dz` into input and state gradients.
+    ///
+    /// # Panics
+    ///
+    /// Panics on dimension mismatch.
+    pub fn gate_grads(
+        &self,
+        record: &[f64],
+        c_prev: &[f64],
         dh: &[f64],
-        dc_in: &[f64],
-    ) -> (Vec<f64>, Vec<f64>, Vec<f64>) {
+        dc: &mut [f64],
+        dz: &mut [f64],
+    ) {
         let hsz = self.hidden;
-        let mut dz = vec![0.0; 4 * hsz];
-        let mut dc_prev = vec![0.0; hsz];
+        assert_eq!(record.len(), 5 * hsz, "LSTM record length");
+        assert_eq!(dz.len(), 4 * hsz, "LSTM gate-gradient length");
+        let (gates, tanh_c) = record.split_at(4 * hsz);
+        let (i, rest) = gates.split_at(hsz);
+        let (f, rest) = rest.split_at(hsz);
+        let (g, o) = rest.split_at(hsz);
+        let (dzi, rest) = dz.split_at_mut(hsz);
+        let (dzf, rest) = rest.split_at_mut(hsz);
+        let (dzg, dzo) = rest.split_at_mut(hsz);
         for k in 0..hsz {
-            let tc = cache.c[k].tanh();
+            let tc = tanh_c[k];
             let do_ = dh[k] * tc;
-            let dc = dc_in[k] + dh[k] * cache.o[k] * (1.0 - tc * tc);
-            let di = dc * cache.g[k];
-            let df = dc * cache.c_prev[k];
-            let dg = dc * cache.i[k];
-            dc_prev[k] = dc * cache.f[k];
-            dz[k] = di * cache.i[k] * (1.0 - cache.i[k]);
-            dz[hsz + k] = df * cache.f[k] * (1.0 - cache.f[k]);
-            dz[2 * hsz + k] = dg * (1.0 - cache.g[k] * cache.g[k]);
-            dz[3 * hsz + k] = do_ * cache.o[k] * (1.0 - cache.o[k]);
+            let dck = dc[k] + dh[k] * o[k] * (1.0 - tc * tc);
+            let di = dck * g[k];
+            let df = dck * c_prev[k];
+            let dg = dck * i[k];
+            dc[k] = dck * f[k];
+            dzi[k] = di * i[k] * (1.0 - i[k]);
+            dzf[k] = df * f[k] * (1.0 - f[k]);
+            dzg[k] = dg * (1.0 - g[k] * g[k]);
+            dzo[k] = do_ * o[k] * (1.0 - o[k]);
         }
-        self.dwx.add_outer(&dz, &cache.x);
-        self.dwh.add_outer(&dz, &cache.h_prev);
-        for (g, d) in self.db.iter_mut().zip(dz.iter()) {
-            *g += d;
+    }
+
+    /// Accumulates the weight and bias gradients of a run of steps. Row
+    /// `s` of `dzs` (`n × 4H`), `xs` (`n × I`) and `h_prevs` (`n × H`) is
+    /// step `s`'s gate gradient, input and previous hidden state; every
+    /// gradient entry takes the steps' terms in the order `steps` yields.
+    pub fn accumulate_steps<I>(&mut self, dzs: &[f64], xs: &[f64], h_prevs: &[f64], steps: I)
+    where
+        I: Iterator<Item = usize> + Clone,
+    {
+        self.dwx.add_outers(dzs, xs, steps.clone());
+        self.dwh.add_outers(dzs, h_prevs, steps.clone());
+        let width = self.db.len();
+        for s in steps {
+            for (g, d) in self.db.iter_mut().zip(&dzs[s * width..(s + 1) * width]) {
+                *g += d;
+            }
         }
-        let dx = self.wx.matvec_transpose(&dz);
-        let dh_prev = self.wh.matvec_transpose(&dz);
-        (dx, dh_prev, dc_prev)
     }
 
     /// Clears gradient accumulators.
     pub fn zero_grad(&mut self) {
         self.dwx.fill_zero();
         self.dwh.fill_zero();
-        self.db.iter_mut().for_each(|v| *v = 0.0);
+        self.db.fill(0.0);
     }
 }
 
@@ -269,7 +283,8 @@ mod tests {
             y.iter().map(|v| 2.0 * v).collect()
         };
         layer.zero_grad();
-        let dx = layer.backward(&x, &dy);
+        layer.accumulate(&x, &dy);
+        let dx = layer.w.matvec_transpose(&dy);
         // Check weight gradients.
         for r in 0..2 {
             for c in 0..3 {
@@ -311,13 +326,22 @@ mod tests {
         assert_eq!(e.dtable.row(0), &[0.0, 0.0, 0.0]);
     }
 
+    /// One step from `(h0, c0)`: returns `(h, c, record)`.
+    fn step(cell: &LstmCell, x: &[f64], h0: &[f64], c0: &[f64]) -> (Vec<f64>, Vec<f64>, Vec<f64>) {
+        let (mut h, mut c) = (h0.to_vec(), c0.to_vec());
+        let mut record = vec![0.0; cell.record_len()];
+        let mut zh = vec![0.0; 4 * cell.hidden()];
+        cell.forward_into(x, &mut h, &mut c, &mut record, &mut zh);
+        (h, c, record)
+    }
+
     #[test]
     fn lstm_forward_state_is_bounded() {
         let mut rng = SmallRng::seed_from_u64(3);
         let cell = LstmCell::new(4, 8, &mut rng);
-        let cache = cell.forward(&[1.0, -1.0, 0.5, 2.0], &[0.0; 8], &[0.0; 8]);
+        let (h, _, _) = step(&cell, &[1.0, -1.0, 0.5, 2.0], &[0.0; 8], &[0.0; 8]);
         assert!(
-            cache.h.iter().all(|v| v.abs() <= 1.0),
+            h.iter().all(|v| v.abs() <= 1.0),
             "h = o*tanh(c) is in [-1,1]"
         );
     }
@@ -331,12 +355,17 @@ mod tests {
         let c0 = vec![0.2, 0.1, -0.1, 0.4];
         // Loss: sum(h) + 0.5*sum(c).
         let loss_of = |cell: &LstmCell, x: &[f64], h0: &[f64], c0: &[f64]| {
-            let cache = cell.forward(x, h0, c0);
-            cache.h.iter().sum::<f64>() + 0.5 * cache.c.iter().sum::<f64>()
+            let (h, c, _) = step(cell, x, h0, c0);
+            h.iter().sum::<f64>() + 0.5 * c.iter().sum::<f64>()
         };
-        let cache = cell.forward(&x, &h0, &c0);
+        let (_, _, record) = step(&cell, &x, &h0, &c0);
         cell.zero_grad();
-        let (dx, dh0, dc0) = cell.backward(&cache, &[1.0; 4], &[0.5; 4]);
+        let mut dc0 = vec![0.5; 4];
+        let mut dz = vec![0.0; 16];
+        cell.gate_grads(&record, &c0, &[1.0; 4], &mut dc0, &mut dz);
+        cell.accumulate_steps(&dz, &x, &h0, 0..1);
+        let dx = cell.wx.matvec_transpose(&dz);
+        let dh0 = cell.wh.matvec_transpose(&dz);
 
         // Spot-check a grid of weight entries in wx and wh.
         for (r, c) in [(0, 0), (3, 2), (5, 1), (9, 0), (13, 2), (15, 1)] {

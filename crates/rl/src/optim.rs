@@ -1,4 +1,8 @@
 //! First-order optimizers over the policy's parameter slices.
+//!
+//! Both update loops are element-wise zips over parameter, gradient and
+//! state slices, so they vectorize; the global-norm clip sums `g²` in
+//! [`LstmPolicy::visit_params`] order.
 
 use crate::policy::LstmPolicy;
 
@@ -40,11 +44,10 @@ impl Sgd {
             if velocity.len() <= slot {
                 velocity.push(vec![0.0; params.len()]);
             }
-            let v = &mut velocity[slot];
-            for i in 0..params.len() {
-                let g = grads[i] * scale;
-                v[i] = momentum * v[i] - lr * g;
-                params[i] += v[i];
+            for ((p, &g), v) in params.iter_mut().zip(grads.iter()).zip(&mut velocity[slot]) {
+                let g = g * scale;
+                *v = momentum * *v - lr * g;
+                *p += *v;
             }
             slot += 1;
         });
@@ -103,15 +106,14 @@ impl Adam {
                 m_all.push(vec![0.0; params.len()]);
                 v_all.push(vec![0.0; params.len()]);
             }
-            let m = &mut m_all[slot];
-            let v = &mut v_all[slot];
-            for i in 0..params.len() {
-                let g = grads[i] * scale;
-                m[i] = b1 * m[i] + (1.0 - b1) * g;
-                v[i] = b2 * v[i] + (1.0 - b2) * g * g;
-                let mhat = m[i] / bc1;
-                let vhat = v[i] / bc2;
-                params[i] -= lr * mhat / (vhat.sqrt() + eps);
+            let moments = m_all[slot].iter_mut().zip(&mut v_all[slot]);
+            for ((p, &g), (m, v)) in params.iter_mut().zip(grads.iter()).zip(moments) {
+                let g = g * scale;
+                *m = b1 * *m + (1.0 - b1) * g;
+                *v = b2 * *v + (1.0 - b2) * g * g;
+                let mhat = *m / bc1;
+                let vhat = *v / bc2;
+                *p -= lr * mhat / (vhat.sqrt() + eps);
             }
             slot += 1;
         });

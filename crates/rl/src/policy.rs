@@ -8,10 +8,12 @@
 //! architecture of §II-A ("a single LSTM cell followed by a linear layer as
 //! in \[5\]").
 
+use std::ops::Range;
+
 use rand::Rng;
 
-use crate::math::{entropy, masked_softmax};
-use crate::nn::{Embedding, Linear, LstmCache, LstmCell};
+use crate::math::{entropy, masked_softmax_in_place};
+use crate::nn::{Embedding, Linear, LstmCell};
 
 /// Hyper-parameters of an [`LstmPolicy`].
 #[derive(Debug, Clone, PartialEq)]
@@ -69,16 +71,104 @@ pub struct Rollout {
     pub log_prob: f64,
     /// Summed per-step entropy of the sampling distributions.
     pub entropy: f64,
-    steps: Vec<StepTrace>,
+    /// The forward pass's record, laid out by [`TraceLayout`].
+    trace: Vec<f64>,
 }
 
-#[derive(Debug, Clone, PartialEq)]
-struct StepTrace {
-    token: usize,
-    cache: LstmCache,
-    probs: Vec<f64>,
-    mask: Vec<bool>,
-    action: usize,
+/// Where each plane of a rollout's trace sits in its one flat buffer. Row
+/// `t` of a plane belongs to decision `t`, except in the `h`/`c` state
+/// planes: their row 0 is the zero initial state, so decision `t` reads its
+/// previous state from row `t` and writes its new one to row `t + 1`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct TraceLayout {
+    steps: usize,
+    embed: usize,
+    hidden: usize,
+    record: usize,
+    vocab: usize,
+    hs: usize,
+    cs: usize,
+    records: usize,
+    probs: usize,
+    entropies: usize,
+    len: usize,
+}
+
+impl TraceLayout {
+    fn new(config: &PolicyConfig) -> Self {
+        let steps = config.num_decisions();
+        let (embed, hidden, vocab) = (config.embed, config.hidden, config.max_vocab());
+        let record = 5 * hidden;
+        let hs = steps * embed;
+        let cs = hs + (steps + 1) * hidden;
+        let records = cs + (steps + 1) * hidden;
+        let probs = records + steps * record;
+        let entropies = probs + steps * vocab;
+        Self {
+            steps,
+            embed,
+            hidden,
+            record,
+            vocab,
+            hs,
+            cs,
+            records,
+            probs,
+            entropies,
+            len: entropies + steps,
+        }
+    }
+
+    /// Decision `t`'s input embedding.
+    fn x(&self, t: usize) -> Range<usize> {
+        t * self.embed..(t + 1) * self.embed
+    }
+
+    /// Row `row` of the hidden-state plane.
+    fn h(&self, row: usize) -> Range<usize> {
+        let start = self.hs + row * self.hidden;
+        start..start + self.hidden
+    }
+
+    /// Row `row` of the cell-state plane.
+    fn c(&self, row: usize) -> Range<usize> {
+        let start = self.cs + row * self.hidden;
+        start..start + self.hidden
+    }
+
+    /// Decision `t`'s LSTM record (gate activations and `tanh(c)`).
+    fn record(&self, t: usize) -> Range<usize> {
+        let start = self.records + t * self.record;
+        start..start + self.record
+    }
+
+    /// Decision `t`'s sampling distribution.
+    fn probs(&self, t: usize) -> Range<usize> {
+        let start = self.probs + t * self.vocab;
+        start..start + self.vocab
+    }
+
+    /// Decision `t`'s distribution entropy.
+    fn entropy(&self, t: usize) -> usize {
+        self.entropies + t
+    }
+
+    /// Every decision's input, one per row.
+    fn xs(&self) -> Range<usize> {
+        0..self.hs
+    }
+
+    /// Every decision's previous hidden state, one per row.
+    fn h_prevs(&self) -> Range<usize> {
+        self.hs..self.hs + self.steps * self.hidden
+    }
+
+    /// Length of the backward pass's scratch: every step's gate gradient,
+    /// then one step's logit, hidden, future-hidden, cell and input
+    /// gradients.
+    fn grad_scratch_len(&self) -> usize {
+        self.steps * 4 * self.hidden + self.vocab + 3 * self.hidden + self.embed
+    }
 }
 
 /// The LSTM controller policy.
@@ -103,6 +193,9 @@ pub struct LstmPolicy {
     embed: Embedding,
     /// Embedding-row offset per decision position (row 0 is the start token).
     offsets: Vec<usize>,
+    /// Logit mask per decision position, `max_vocab` entries each.
+    masks: Vec<bool>,
+    layout: TraceLayout,
 }
 
 impl LstmPolicy {
@@ -115,12 +208,20 @@ impl LstmPolicy {
             offsets.push(total);
             total += v;
         }
+        let width = config.max_vocab();
+        let masks = config
+            .vocab_sizes
+            .iter()
+            .flat_map(|&v| (0..width).map(move |k| k < v))
+            .collect();
         Self {
             lstm: LstmCell::new(config.embed, config.hidden, rng),
-            head: Linear::new(config.hidden, config.max_vocab(), rng),
+            head: Linear::new(config.hidden, width, rng),
             embed: Embedding::new(total, config.embed, rng),
+            layout: TraceLayout::new(&config),
             config,
             offsets,
+            masks,
         }
     }
 
@@ -130,16 +231,14 @@ impl LstmPolicy {
         &self.config
     }
 
-    fn token_for(&self, position: usize, action: usize) -> usize {
-        self.offsets[position] + action
-    }
-
-    fn mask_for(&self, position: usize) -> Vec<bool> {
-        let mut mask = vec![false; self.config.max_vocab()];
-        for m in mask.iter_mut().take(self.config.vocab_sizes[position]) {
-            *m = true;
+    /// Embedding row of the token that decision `t` feeds the LSTM: the
+    /// start token, then each previous decision's choice.
+    fn token_at(offsets: &[usize], actions: &[usize], t: usize) -> usize {
+        if t == 0 {
+            0
+        } else {
+            offsets[t - 1] + actions[t - 1]
         }
-        mask
     }
 
     /// Samples one decision sequence, recording the traces needed for
@@ -168,7 +267,8 @@ impl LstmPolicy {
     }
 
     /// Log-probability of a fixed action sequence (used by tests and
-    /// gradient checks; no traces kept).
+    /// gradient checks). It runs the same full decode as
+    /// [`LstmPolicy::rollout`], trace included, with the actions forced.
     ///
     /// # Panics
     ///
@@ -193,49 +293,52 @@ impl LstmPolicy {
         rollout.log_prob
     }
 
+    /// Runs the controller over every decision, letting `choose` pick each
+    /// action from its distribution. Allocates the trace, the action list
+    /// and one scratch buffer, whatever the decision count.
     fn decode<R: Rng + ?Sized, F: FnMut(&[f64], &mut R) -> usize>(
         &self,
         mut choose: F,
         rng: &mut R,
     ) -> Rollout {
+        let layout = self.layout;
         let hsz = self.config.hidden;
-        let mut h = vec![0.0; hsz];
-        let mut c = vec![0.0; hsz];
-        let mut token = 0usize; // start-of-sequence
-        let mut steps = Vec::with_capacity(self.config.num_decisions());
-        let mut actions = Vec::with_capacity(self.config.num_decisions());
+        let width = layout.vocab;
+        let mut trace = vec![0.0; layout.len];
+        let mut scratch = vec![0.0; 6 * hsz];
+        let (h, rest) = scratch.split_at_mut(hsz);
+        let (c, zh) = rest.split_at_mut(hsz);
+        let mut actions = Vec::with_capacity(layout.steps);
         let mut log_prob = 0.0;
         let mut total_entropy = 0.0;
-        for t in 0..self.config.num_decisions() {
-            let x = self.embed.forward(token);
-            let cache = self.lstm.forward(&x, &h, &c);
-            h.copy_from_slice(&cache.h);
-            c.copy_from_slice(&cache.c);
-            let logits = self.head.forward(&h);
-            let mask = self.mask_for(t);
-            let probs = masked_softmax(&logits, &mask);
-            let action = choose(&probs, rng);
+        for t in 0..layout.steps {
+            let x = self
+                .embed
+                .forward(Self::token_at(&self.offsets, &actions, t));
+            trace[layout.x(t)].copy_from_slice(x);
+            self.lstm
+                .forward_into(x, h, c, &mut trace[layout.record(t)], zh);
+            trace[layout.h(t + 1)].copy_from_slice(h);
+            trace[layout.c(t + 1)].copy_from_slice(c);
+            let probs = &mut trace[layout.probs(t)];
+            self.head.forward_into(h, probs);
+            masked_softmax_in_place(probs, &self.masks[t * width..(t + 1) * width]);
+            let action = choose(probs, rng);
             assert!(
                 action < self.config.vocab_sizes[t],
                 "chosen action {action} out of range at step {t}"
             );
             log_prob += probs[action].max(1e-300).ln();
-            total_entropy += entropy(&probs);
-            steps.push(StepTrace {
-                token,
-                cache,
-                probs: probs.clone(),
-                mask,
-                action,
-            });
-            token = self.token_for(t, action);
+            let step_entropy = entropy(probs);
+            total_entropy += step_entropy;
+            trace[layout.entropy(t)] = step_entropy;
             actions.push(action);
         }
         Rollout {
             actions,
             log_prob,
             entropy: total_entropy,
-            steps,
+            trace,
         }
     }
 
@@ -243,36 +346,69 @@ impl LstmPolicy {
     /// `∇θ [-advantage · log πθ(actions) - entropy_beta · H(πθ)]`.
     ///
     /// Gradients add up across calls; pair with
-    /// [`LstmPolicy::zero_grad`] and an optimizer step.
+    /// [`LstmPolicy::zero_grad`] and an optimizer step. The LSTM weight
+    /// gradients are summed after the backward sweep, each entry over the
+    /// steps in the sweep's order. Allocates one scratch buffer, whatever
+    /// the decision count.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rollout` was decoded by a policy of another shape.
     pub fn accumulate_grad(&mut self, rollout: &Rollout, advantage: f64, entropy_beta: f64) {
-        let hsz = self.config.hidden;
-        let mut dh_future = vec![0.0; hsz];
-        let mut dc_future = vec![0.0; hsz];
-        for step in rollout.steps.iter().rev() {
-            let p = &step.probs;
-            let step_entropy = entropy(p);
-            let mut dlogits = vec![0.0; p.len()];
-            for k in 0..p.len() {
-                if !step.mask[k] || p[k] <= 0.0 {
+        let layout = self.layout;
+        assert_eq!(
+            rollout.trace.len(),
+            layout.len,
+            "rollout decoded by a policy of another shape"
+        );
+        let (steps, hsz, width) = (layout.steps, layout.hidden, layout.vocab);
+        let gates = 4 * hsz;
+        let mut scratch = vec![0.0; layout.grad_scratch_len()];
+        let (dzs, rest) = scratch.split_at_mut(steps * gates);
+        let (dlogits, rest) = rest.split_at_mut(width);
+        let (dh, rest) = rest.split_at_mut(hsz);
+        let (dh_future, rest) = rest.split_at_mut(hsz);
+        let (dc, dx) = rest.split_at_mut(hsz);
+        let trace = &rollout.trace;
+        for t in (0..steps).rev() {
+            let p = &trace[layout.probs(t)];
+            let step_entropy = trace[layout.entropy(t)];
+            let mask = &self.masks[t * width..(t + 1) * width];
+            let action = rollout.actions[t];
+            for (k, d) in dlogits.iter_mut().enumerate() {
+                *d = 0.0;
+                if !mask[k] || p[k] <= 0.0 {
                     continue;
                 }
                 // d/dlogit of -adv*log p[action]:
-                let onehot = f64::from(k == step.action);
-                dlogits[k] = advantage * (p[k] - onehot);
+                let onehot = f64::from(k == action);
+                *d = advantage * (p[k] - onehot);
                 // d/dlogit of -beta*H:
                 if entropy_beta > 0.0 {
-                    dlogits[k] += entropy_beta * p[k] * (p[k].ln() + step_entropy);
+                    *d += entropy_beta * p[k] * (p[k].ln() + step_entropy);
                 }
             }
-            let mut dh = self.head.backward(&step.cache.h, &dlogits);
+            self.head.accumulate(&trace[layout.h(t + 1)], dlogits);
+            self.head.w.matvec_transpose_into(dlogits, dh);
             for (a, b) in dh.iter_mut().zip(dh_future.iter()) {
                 *a += b;
             }
-            let (dx, dh_prev, dc_prev) = self.lstm.backward(&step.cache, &dh, &dc_future);
-            self.embed.backward(step.token, &dx);
-            dh_future = dh_prev;
-            dc_future = dc_prev;
+            let dz = &mut dzs[t * gates..(t + 1) * gates];
+            self.lstm
+                .gate_grads(&trace[layout.record(t)], &trace[layout.c(t)], dh, dc, dz);
+            self.lstm.wx.matvec_transpose_into(dz, dx);
+            self.embed
+                .backward(Self::token_at(&self.offsets, &rollout.actions, t), dx);
+            if t > 0 {
+                self.lstm.wh.matvec_transpose_into(dz, dh_future);
+            }
         }
+        self.lstm.accumulate_steps(
+            dzs,
+            &trace[layout.xs()],
+            &trace[layout.h_prevs()],
+            (0..steps).rev(),
+        );
     }
 
     /// Clears all gradient accumulators.
@@ -401,7 +537,7 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(6);
         // Build the rollout trace by forcing the actions.
         let r = {
-            // log_prob path has no trace, so re-decode with forced actions.
+            // log_prob returns only the number, so re-decode with forced actions.
             let mut step = 0usize;
             let forced = policy.clone();
 

@@ -123,34 +123,33 @@ impl MlpRegressor {
         let n = xs.len() as f64;
         (self.x_mean, self.x_std) = standardization(xs, self.inputs());
         (self.y_mean, self.y_std) = standardization(ys, self.outputs());
-        let xn: Vec<Vec<f64>> = xs
-            .iter()
-            .map(|x| standardize(x, &self.x_mean, &self.x_std))
-            .collect();
-        let yn: Vec<Vec<f64>> = ys
-            .iter()
-            .map(|y| standardize(y, &self.y_mean, &self.y_std))
-            .collect();
+        let (inputs, outputs, hidden) = (self.inputs(), self.outputs(), self.config.hidden);
+        let xn = standardized_rows(xs, &self.x_mean, &self.x_std);
+        let yn = standardized_rows(ys, &self.y_mean, &self.y_std);
+        let mut scratch = vec![0.0; 2 * hidden + 2 * outputs];
+        let (h, rest) = scratch.split_at_mut(hidden);
+        let (dh, rest) = rest.split_at_mut(hidden);
+        let (out, dout) = rest.split_at_mut(outputs);
         for _ in 0..self.config.epochs {
             self.l1.zero_grad();
             self.l2.zero_grad();
-            for (x, y) in xn.iter().zip(yn.iter()) {
-                let h_pre = self.l1.forward(x);
-                let h: Vec<f64> = h_pre.iter().map(|v| v.tanh()).collect();
-                let out = self.l2.forward(&h);
+            for (x, y) in xn.chunks_exact(inputs).zip(yn.chunks_exact(outputs)) {
+                self.l1.forward_into(x, h);
+                for v in h.iter_mut() {
+                    *v = v.tanh();
+                }
+                self.l2.forward_into(h, out);
                 // Squared-error loss; d(out) = 2 (out - y) / n.
-                let dout: Vec<f64> = out
-                    .iter()
-                    .zip(y.iter())
-                    .map(|(o, t)| 2.0 * (o - t) / n)
-                    .collect();
-                let dh = self.l2.backward(&h, &dout);
-                let dh_pre: Vec<f64> = dh
-                    .iter()
-                    .zip(h.iter())
-                    .map(|(d, hv)| d * (1.0 - hv * hv))
-                    .collect();
-                let _ = self.l1.backward(x, &dh_pre);
+                for ((d, o), t) in dout.iter_mut().zip(out.iter()).zip(y) {
+                    *d = 2.0 * (o - t) / n;
+                }
+                self.l2.accumulate(h, dout);
+                self.l2.w.matvec_transpose_into(dout, dh);
+                for (d, hv) in dh.iter_mut().zip(h.iter()) {
+                    *d *= 1.0 - hv * hv;
+                }
+                // The input gradient of `l1` is never needed.
+                self.l1.accumulate(x, dh);
             }
             let lr = self.config.learning_rate;
             let l2 = self.config.l2;
@@ -163,7 +162,7 @@ impl MlpRegressor {
     /// Predicts the (de-standardized) targets for one raw feature vector.
     #[must_use]
     pub fn predict(&self, x: &[f64]) -> Vec<f64> {
-        let xn = standardize(x, &self.x_mean, &self.x_std);
+        let xn: Vec<f64> = standardize(x, &self.x_mean, &self.x_std).collect();
         let h: Vec<f64> = self.l1.forward(&xn).iter().map(|v| v.tanh()).collect();
         let out = self.l2.forward(&h);
         out.iter()
@@ -175,11 +174,8 @@ impl MlpRegressor {
 
 /// One gradient-descent step with L2 decay on the weights.
 fn sgd_step(layer: &mut Linear, lr: f64, l2: f64) {
-    for r in 0..layer.w.rows() {
-        for c in 0..layer.w.cols() {
-            let w = layer.w.get(r, c);
-            layer.w.set(r, c, w - lr * (layer.dw.get(r, c) + l2 * w));
-        }
+    for (w, g) in layer.w.as_mut_slice().iter_mut().zip(layer.dw.as_slice()) {
+        *w -= lr * (g + l2 * *w);
     }
     for (b, g) in layer.b.iter_mut().zip(layer.db.iter()) {
         *b -= lr * g;
@@ -211,12 +207,25 @@ fn standardization(rows: &[Vec<f64>], dim: usize) -> (Vec<f64>, Vec<f64>) {
     (mean, std)
 }
 
+/// Standardizes every row into one flat row-major buffer.
+fn standardized_rows(rows: &[Vec<f64>], mean: &[f64], std: &[f64]) -> Vec<f64> {
+    let mut out = Vec::with_capacity(rows.len() * mean.len());
+    for row in rows {
+        assert_eq!(row.len(), mean.len(), "training row length mismatch");
+        out.extend(standardize(row, mean, std));
+    }
+    out
+}
+
 /// Applies `(x - mean) / std` element-wise.
-fn standardize(x: &[f64], mean: &[f64], std: &[f64]) -> Vec<f64> {
+fn standardize<'a>(
+    x: &'a [f64],
+    mean: &'a [f64],
+    std: &'a [f64],
+) -> impl Iterator<Item = f64> + 'a {
     x.iter()
         .zip(mean.iter().zip(std.iter()))
         .map(|(v, (m, s))| (v - m) / s)
-        .collect()
 }
 
 #[cfg(test)]
