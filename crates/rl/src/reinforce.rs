@@ -75,10 +75,18 @@ impl ReinforceTrainer {
     }
 
     /// Updates the policy from one `(rollout, reward)` observation.
+    ///
+    /// The advantage is `reward - baseline`. With a positive
+    /// `baseline_decay` the first reward seeds the EMA baseline; with decay
+    /// 0 the baseline stays 0, so the advantage is the reward itself.
     pub fn learn(&mut self, rollout: &Rollout, reward: f64) {
-        let baseline = self.baseline.unwrap_or(reward);
-        let advantage = reward - baseline;
         let decay = self.config.baseline_decay;
+        let baseline = if decay > 0.0 {
+            self.baseline.unwrap_or(reward)
+        } else {
+            0.0
+        };
+        let advantage = reward - baseline;
         self.baseline = Some(if decay > 0.0 {
             decay * baseline + (1.0 - decay) * reward
         } else {
@@ -91,7 +99,8 @@ impl ReinforceTrainer {
         self.steps += 1;
     }
 
-    /// The current reward baseline (None before the first update).
+    /// The current reward baseline (None before the first update; always
+    /// 0 after it when the baseline is disabled).
     #[must_use]
     pub fn baseline(&self) -> Option<f64> {
         self.baseline
@@ -143,6 +152,27 @@ mod tests {
             b < 1.0 && b > 0.5,
             "EMA should move toward 0 slowly, got {b}"
         );
+    }
+
+    #[test]
+    fn disabled_baseline_learns_from_the_first_reward() {
+        let mut rng = SmallRng::seed_from_u64(8);
+        let policy = LstmPolicy::new(PolicyConfig::new(vec![3, 4]), &mut rng);
+        let config = ReinforceConfig {
+            baseline_decay: 0.0,
+            entropy_beta: 0.0,
+            ..ReinforceConfig::default()
+        };
+        let mut t = ReinforceTrainer::new(policy, config);
+        let r = t.propose(&mut rng);
+        let before = t.policy().log_prob(&r.actions);
+        t.learn(&r, 1.0);
+        let after = t.policy().log_prob(&r.actions);
+        assert!(
+            after > before,
+            "a positive reward must raise the sampled sequence: {before} -> {after}"
+        );
+        assert_eq!(t.baseline(), Some(0.0));
     }
 
     #[test]
