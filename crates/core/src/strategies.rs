@@ -20,10 +20,38 @@ use rand::rngs::SmallRng;
 use rand::Rng;
 
 use codesign_moo::{DynRewardSpec, LinearNorm};
-use codesign_rl::{LstmPolicy, PolicyConfig, ReinforceConfig, ReinforceTrainer};
+use codesign_rl::{LstmPolicy, PolicyConfig, ReinforceConfig, ReinforceTrainer, Rollout};
+use codesign_telemetry::Histogram;
 
 use crate::search::{SearchConfig, SearchContext, SearchOutcome, SearchRecorder, SearchStrategy};
 use crate::space::Proposal;
+
+/// Wall time of one controller proposal (a policy rollout), µs.
+static PROPOSE_US: Histogram = Histogram::new("search.propose_us");
+/// Wall time of one controller update (REINFORCE gradients and the
+/// optimizer step), µs.
+static LEARN_US: Histogram = Histogram::new("search.learn_us");
+
+/// [`ReinforceTrainer::propose`], timed into `search.propose_us` when
+/// telemetry is on.
+fn propose(trainer: &ReinforceTrainer, rng: &mut SmallRng) -> Rollout {
+    let timer = codesign_telemetry::enabled().then(std::time::Instant::now);
+    let rollout = trainer.propose(rng);
+    if let Some(t) = timer {
+        PROPOSE_US.record_duration(t.elapsed());
+    }
+    rollout
+}
+
+/// [`ReinforceTrainer::learn`], timed into `search.learn_us` when
+/// telemetry is on.
+fn learn(trainer: &mut ReinforceTrainer, rollout: &Rollout, reward: f64) {
+    let timer = codesign_telemetry::enabled().then(std::time::Instant::now);
+    trainer.learn(rollout, reward);
+    if let Some(t) = timer {
+        LEARN_US.record_duration(t.elapsed());
+    }
+}
 
 fn reinforce_config(config: &SearchConfig) -> ReinforceConfig {
     ReinforceConfig {
@@ -52,7 +80,7 @@ impl SearchStrategy for CombinedSearch {
         let mut trainer = ReinforceTrainer::new(policy, reinforce_config(config));
         let mut recorder = SearchRecorder::new(self.name(), config.steps, ctx.reward);
         for _ in 0..config.steps {
-            let rollout = trainer.propose(rng);
+            let rollout = propose(&trainer, rng);
             let proposal = ctx.space.decode(&rollout.actions);
             let outcome = ctx.evaluator.evaluate(&proposal);
             let reward = recorder.record(
@@ -61,7 +89,7 @@ impl SearchStrategy for CombinedSearch {
                 proposal.cell.as_ref().ok(),
                 &proposal.config,
             );
-            trainer.learn(&rollout, reward);
+            learn(&mut trainer, &rollout, reward);
         }
         recorder.finish()
     }
@@ -111,7 +139,7 @@ impl SearchStrategy for PhaseSearch {
         let mut phase_remaining = self.cnn_phase_steps;
         while recorder.steps() < config.steps {
             if in_cnn_phase {
-                let rollout = cnn_trainer.propose(rng);
+                let rollout = propose(&cnn_trainer, rng);
                 let proposal = Proposal {
                     cell: ctx.space.cnn().decode(&rollout.actions),
                     config: ctx.space.hw().decode(&frozen_hw),
@@ -123,9 +151,9 @@ impl SearchStrategy for PhaseSearch {
                     proposal.cell.as_ref().ok(),
                     &proposal.config,
                 );
-                cnn_trainer.learn(&rollout, reward);
+                learn(&mut cnn_trainer, &rollout, reward);
             } else {
-                let rollout = hw_trainer.propose(rng);
+                let rollout = propose(&hw_trainer, rng);
                 let proposal = Proposal {
                     cell: ctx.space.cnn().decode(&frozen_cnn),
                     config: ctx.space.hw().decode(&rollout.actions),
@@ -137,7 +165,7 @@ impl SearchStrategy for PhaseSearch {
                     proposal.cell.as_ref().ok(),
                     &proposal.config,
                 );
-                hw_trainer.learn(&rollout, reward);
+                learn(&mut hw_trainer, &rollout, reward);
             }
             phase_remaining -= 1;
             if phase_remaining == 0 {
@@ -198,7 +226,7 @@ impl SearchStrategy for SeparateSearch {
         let placeholder_config = ctx.space.hw().decode(&placeholder_hw);
         let mut best_cnn: Option<(f64, Vec<usize>)> = None;
         for _ in 0..cnn_steps {
-            let rollout = cnn_trainer.propose(rng);
+            let rollout = propose(&cnn_trainer, rng);
             let cell = ctx.space.cnn().decode(&rollout.actions);
             let proposal = Proposal {
                 cell,
@@ -221,8 +249,11 @@ impl SearchStrategy for SeparateSearch {
                     best_cnn = Some((eval.accuracy, rollout.actions.clone()));
                 }
             }
-            cnn_trainer.learn(&rollout, controller_reward);
+            learn(&mut cnn_trainer, &rollout, controller_reward);
         }
+
+        // The CNN controller is done; free it before the HW one exists.
+        drop(cnn_trainer);
 
         // Phase 2: accelerator DSE for the discovered CNN, with the full
         // multi-objective reward (the paper's Fig. 6 note).
@@ -232,7 +263,7 @@ impl SearchStrategy for SeparateSearch {
         let hw_policy = LstmPolicy::new(PolicyConfig::new(ctx.space.hw().vocab_sizes()), rng);
         let mut hw_trainer = ReinforceTrainer::new(hw_policy, reinforce_config(config));
         while recorder.steps() < config.steps {
-            let rollout = hw_trainer.propose(rng);
+            let rollout = propose(&hw_trainer, rng);
             let proposal = Proposal {
                 cell: ctx.space.cnn().decode(&frozen_cnn),
                 config: ctx.space.hw().decode(&rollout.actions),
@@ -244,7 +275,7 @@ impl SearchStrategy for SeparateSearch {
                 proposal.cell.as_ref().ok(),
                 &proposal.config,
             );
-            hw_trainer.learn(&rollout, reward);
+            learn(&mut hw_trainer, &rollout, reward);
         }
         recorder.finish()
     }

@@ -14,15 +14,22 @@ use codesign_core::{CodesignSpace, ScenarioSpec};
 use codesign_engine::{Campaign, ShardedDriver, SharedEvalCache, StrategyKind};
 use codesign_nasbench::{Json, NasbenchDatabase};
 
+/// Steps per shard.
+const STEPS: usize = 50;
+
 fn campaign() -> Campaign {
     Campaign::new(CodesignSpace::with_max_vertices(4))
         .scenarios(vec![
             ScenarioSpec::unconstrained(),
             ScenarioSpec::one_constraint(),
         ])
-        .strategies(vec![StrategyKind::Random, StrategyKind::Evolution])
+        .strategies(vec![
+            StrategyKind::Random,
+            StrategyKind::Evolution,
+            StrategyKind::Combined,
+        ])
         .seeds(vec![0, 1])
-        .steps(50)
+        .steps(STEPS)
 }
 
 fn jsonl(workers: usize) -> String {
@@ -105,13 +112,14 @@ fn exports_are_bit_identical_with_telemetry_on_or_off() {
     assert_eq!(shard_lines(&off_1), shard_lines(&off_4));
 
     // 2) The trace carries every promised span: one shard.run per shard
-    // per telemetry-on campaign (8 shards x 3 runs), the campaign roots,
+    // per telemetry-on campaign (12 shards x 3 runs), the campaign roots,
     // strategy spans, and the persistence pair.
     let count = |name: &str| spans.iter().filter(|s| s.name == name).count();
     assert_eq!(count("campaign.run"), 3);
-    assert_eq!(count("shard.run"), 24);
+    assert_eq!(count("shard.run"), 36);
     assert_eq!(count("random"), 12);
     assert_eq!(count("evolution"), 12);
+    assert_eq!(count("combined"), 12);
     assert_eq!(count("cache.save"), 1);
     assert_eq!(count("cache.load"), 1);
     assert!(count("campaign.worker") >= 3, "at least one worker per run");
@@ -147,7 +155,14 @@ fn exports_are_bit_identical_with_telemetry_on_or_off() {
         .any(|e| e.get("name").and_then(Json::as_str) == Some("shard.run")));
 
     // 4) The metrics registry agrees with the engine's own accounting:
-    // 3 telemetry-on campaigns x 8 shards each.
-    assert_eq!(metrics.counter("engine.shards_total"), Some(24));
-    assert_eq!(metrics.counter("engine.shards_done"), Some(24));
+    // 3 telemetry-on campaigns x 12 shards each.
+    assert_eq!(metrics.counter("engine.shards_total"), Some(36));
+    assert_eq!(metrics.counter("engine.shards_done"), Some(36));
+    // One proposal and one update per controller step: 3 telemetry-on
+    // campaigns x 4 combined shards x STEPS.
+    let rl_steps = 3 * 4 * STEPS as u64;
+    for name in ["search.propose_us", "search.learn_us"] {
+        let count = metrics.histogram(name).map(|h| h.count());
+        assert_eq!(count, Some(rl_steps), "{name} samples");
+    }
 }
